@@ -375,7 +375,7 @@ let scorecards pool : (string * Parsimony.Scorecard.t) list =
    unprofiled, so the gated cycle numbers are untouched).  Stored with
    the run document so a regression diff can fingerprint *where* the
    cycles moved, not only by how much. *)
-let hot_block_digests pool ~engine : (string * Pharness.Json_out.t) list =
+let hot_block_digests pool ~engine : (string * Pobs.Json.t) list =
   let kernels =
     List.map (fun k -> ("fig4/", k)) Pispc.Suite.all
     @ List.map (fun k -> ("fig5/", k)) Psimdlib.Registry.all
@@ -386,7 +386,7 @@ let hot_block_digests pool ~engine : (string * Pharness.Json_out.t) list =
         Pharness.Runner.run ~engine ~profile:true k
           (Pharness.Runner.ParsimonyImpl Parsimony.Options.default)
       in
-      let open Pharness.Json_out in
+      let open Pobs.Json in
       match r.Pharness.Runner.profile with
       | None -> (prefix ^ k.kname, Arr [])
       | Some p ->
@@ -477,7 +477,7 @@ let bechamel_benches () =
    [Pobs.Remarks.Counts] mode during the figure sweeps; keys like
    "parsimony.passed".  Already sorted deterministically. *)
 let remark_counts_json () =
-  let open Pharness.Json_out in
+  let open Pobs.Json in
   Obj
     (List.map
        (fun (pass, kind, n) ->
@@ -487,7 +487,7 @@ let remark_counts_json () =
 (* Aggregate recorded spans by name: count and total inclusive time.
    Only meaningful under --trace (empty object otherwise). *)
 let spans_json () =
-  let open Pharness.Json_out in
+  let open Pobs.Json in
   let tally = Hashtbl.create 32 in
   List.iter
     (function
@@ -508,8 +508,8 @@ let spans_json () =
     needs to compare two runs, plus the figure rows and harness
     diagnostics.  [bench --json] writes it pretty-printed; [--history]
     appends it as one compact JSONL line. *)
-let run_doc (sw : sweep) ~cards ~hot ~serve ~engine jobs : Pharness.Json_out.t =
-  let open Pharness.Json_out in
+let run_doc (sw : sweep) ~cards ~hot ~serve ~engine jobs : Pobs.Json.t =
+  let open Pobs.Json in
   let hits, misses = Pharness.Runner.Compile_cache.stats () in
   Obj
     ((match serve with Some s -> [ ("serve", s) ] | None -> [])
@@ -534,9 +534,9 @@ let run_doc (sw : sweep) ~cards ~hot ~serve ~engine jobs : Pharness.Json_out.t =
              (fun (name, c) -> (name, Parsimony.Scorecard.to_json c))
              cards) );
       ("hot_blocks", Obj hot);
-      ("figure4", of_rows sw.f4);
-      ("figure5", of_rows sw.f5);
-      ("ablations", of_rows sw.ab);
+      ("figure4", Pharness.Figures.to_json sw.f4);
+      ("figure5", Pharness.Figures.to_json sw.f5);
+      ("ablations", Pharness.Figures.to_json sw.ab);
       ("timings_s", Obj (List.map (fun (s, dt) -> (s, Float dt)) !timings));
       ("compile_cache", Obj [ ("hits", Int hits); ("misses", Int misses) ]);
       ("remark_counts", remark_counts_json ());
@@ -766,7 +766,7 @@ let cmd_run (cli : cli) =
     let doc = run_doc sw ~cards ~hot ~serve ~engine:cli.engine cli.jobs in
     Option.iter
       (fun file ->
-        Pharness.Json_out.write file doc;
+        Pobs.Json.write file doc;
         pr "wrote %s@." file)
       cli.json;
     Option.iter

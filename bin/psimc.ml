@@ -31,27 +31,14 @@
 open Cmdliner
 
 (* resolve FILE: a path on disk, or the name of a built-in kernel from
-   the Figure-5 (Simd Library) or Figure-4 (ispc) registries.  Under the
-   SLP strategies a kernel name resolves to its *serial* source — SLP
-   packs standard scalar code (including its restrict qualifiers), the
-   psim-annotated variant is Parsimony's input *)
+   the Figure-5 (Simd Library) or Figure-4 (ispc) registries, in the
+   variant the strategy compiles ([Pipeline.kernel_source]) *)
 let load_source ?(opts = Parsimony.Options.default) path =
   if Sys.file_exists path then
     (Filename.basename path, Pharness.Pipeline.read_file path)
   else
-    match
-      List.find_opt
-        (fun (k : Psimdlib.Workload.kernel) -> k.kname = path)
-        (Psimdlib.Registry.all @ Pispc.Suite.all)
-    with
-    | Some k ->
-        let src =
-          match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony -> k.psim_src
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              k.serial_src
-        in
-        (k.kname, src)
+    match Pharness.Pipeline.kernel_source opts path with
+    | Some src -> (path, src)
     | None ->
         Fmt.epr "psimc: %s: no such file or built-in kernel@." path;
         exit 1
@@ -200,8 +187,7 @@ let strategy =
           | None ->
               Error
                 (`Msg
-                   (Fmt.str "unknown strategy %S (parsimony, slp or slp-greedy)"
-                      s))),
+                   (Fmt.str "unknown strategy %S (parsimony or slp)" s))),
         fun ppf st -> Fmt.string ppf (Parsimony.Options.strategy_name st) )
   in
   Arg.(
@@ -210,9 +196,8 @@ let strategy =
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
           "Compilation strategy: $(b,parsimony) (SPMD gang widening, the \
-           default), $(b,slp) (superword-level-parallelism packing of \
-           straight-line statement groups, globally-optimized pairing) or \
-           $(b,slp-greedy) (SLP with the classic greedy bottom-up packer)")
+           default) or $(b,slp) (superword-level-parallelism packing of \
+           straight-line statement groups, globally-optimized pairing)")
 
 let opts_term =
   let mk math_lib no_shapes boscc analyze strategy =
@@ -295,21 +280,9 @@ let shapes_cmd =
 let report_cmd =
   let run obs opts file =
     with_obs obs (fun () ->
-        let mname, cards =
-          match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony ->
-              let m, reports = compile_source obs opts file in
-              (m.Pir.Func.mname, Parsimony.Scorecard.of_module ~reports m)
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              (* the pipeline discards SLP reports (its report type is the
-                 vectorizer's); run the stages directly to keep them *)
-              let name, src = load_source ~opts file in
-              let m = Pfrontend.Lower.compile ~name src in
-              Panalysis.Check.check_module m;
-              let reports = Parsimony.Slp.run_module ~opts m in
-              Panalysis.Check.check_module m;
-              Parsimony.Simplify.run_module m;
-              (m.Pir.Func.mname, Parsimony.Scorecard.of_module_slp ~reports m)
+        let name, src = load_source ~opts file in
+        let m, cards =
+          Pharness.Pipeline.scorecards ~cfg:(cfg_of_obs obs opts) ~name src
         in
         if cards = [] then begin
           Fmt.epr "psimc report: no SPMD function was vectorized@.";
@@ -321,7 +294,9 @@ let report_cmd =
         | _ ->
             Fmt.pr "@.";
             Fmt.pr "%a" Parsimony.Scorecard.pp
-              (Parsimony.Scorecard.aggregate ~name:(mname ^ " (total)") cards))
+              (Parsimony.Scorecard.aggregate
+                 ~name:(m.Pir.Func.mname ^ " (total)")
+                 cards))
   in
   Cmd.v
     (Cmd.info "report"
@@ -733,11 +708,7 @@ let verify_kernel_cmd =
         in
         let transform m =
           (* the candidate is whatever the selected strategy produces *)
-          (match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony ->
-              ignore (Parsimony.Vectorizer.run_module ~opts m)
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              ignore (Parsimony.Slp.run_module ~opts m));
+          ignore (Pharness.Pipeline.vectorize opts m);
           Panalysis.Check.check_module m;
           Parsimony.Simplify.run_module m;
           (match legalize with
@@ -760,10 +731,7 @@ let verify_kernel_cmd =
                   ~name src
               in
               let serial =
-                match opts.Parsimony.Options.strategy with
-                | Parsimony.Options.Parsimony -> false
-                | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-                    true
+                opts.Parsimony.Options.strategy = Parsimony.Options.SlpOptimal
               in
               let results = Parsimony.Tv.verify_module ~params ~serial ~transform m in
               List.iter

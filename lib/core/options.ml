@@ -6,30 +6,25 @@
 
 (** Which vectorization pass drives the pipeline.
 
-    [Parsimony] is the paper's SPMD vectorizer (the default).  The two
-    SLP modes run superword-level-parallelism packing over straight-line
-    regions instead (ROADMAP item 3, after goSLP): [SlpGreedy] commits
-    profitable packs bottom-up in discovery order; [SlpOptimal] scores
-    every candidate pack set with the cost model and picks the cheapest
-    via bounded exhaustive search over conflict groups (standing in for
+    [Parsimony] is the paper's SPMD vectorizer (the default).
+    [SlpOptimal] runs superword-level-parallelism packing over
+    straight-line regions instead (after goSLP): it scores every
+    candidate pack set with the cost model and picks the cheapest via
+    bounded exhaustive search over conflict groups (standing in for
     goSLP's ILP solver). *)
-type strategy = Parsimony | SlpGreedy | SlpOptimal
+type strategy = Parsimony | SlpOptimal
 
-let strategy_name = function
-  | Parsimony -> "parsimony"
-  | SlpGreedy -> "slp-greedy"
-  | SlpOptimal -> "slp"
+let strategy_name = function Parsimony -> "parsimony" | SlpOptimal -> "slp"
 
 let strategy_of_string = function
   | "parsimony" -> Some Parsimony
-  | "slp-greedy" -> Some SlpGreedy
-  | "slp" | "slp-opt" -> Some SlpOptimal
+  | "slp" -> Some SlpOptimal
   | _ -> None
 
 type t = {
   strategy : strategy;
       (** which pass vectorizes: the Parsimony SPMD vectorizer, or the
-          SLP packer in greedy / globally-optimized pairing mode. *)
+          SLP packer. *)
   math_lib : string;
       (** vector math library the pass targets: ["sleef"] (Parsimony
           prototype) or ["ispc"] (ispc's built-in SIMD math library).

@@ -68,9 +68,9 @@ let parse_header (src : string) : subject option =
 type config =
   | Vec of string * Parsimony.Options.t  (** Parsimony vectorizer ablations *)
   | Slp of string * Parsimony.Options.t
-      (** SLP packing of straight-line statement groups (both pairing
-          modes); SPMD functions stay per-thread, only intra-thread
-          isomorphic groups vectorize *)
+      (** SLP packing of straight-line statement groups; SPMD functions
+          stay per-thread, only intra-thread isomorphic groups
+          vectorize *)
   | Autovec  (** classic loop auto-vectorization *)
   | Legalized of int  (** vectorize (default), then split to N-lane registers *)
 
@@ -93,10 +93,9 @@ let vec_configs =
   ]
 
 let slp_configs =
-  let d = Parsimony.Options.default in
   [
-    Slp ("greedy", { d with strategy = Parsimony.Options.SlpGreedy });
-    Slp ("opt", { d with strategy = Parsimony.Options.SlpOptimal });
+    Slp
+      ("opt", { Parsimony.Options.default with strategy = Parsimony.Options.SlpOptimal });
   ]
 
 let legalize_widths = [ 4; 8; 16 ]
@@ -133,8 +132,8 @@ let prepare ?mutate config (scalar : Func.modul) : Func.modul =
       | _ -> ());
       Panalysis.Check.check_module m;
       Parsimony.Simplify.run_module m
-  | Slp (_, opts) ->
-      ignore (Parsimony.Slp.run_module ~opts m);
+  | Slp _ ->
+      ignore (Parsimony.Slp.run_module m);
       Panalysis.Check.check_module m;
       Parsimony.Simplify.run_module m
   | Autovec ->

@@ -27,6 +27,21 @@ let geomeans (rows : row list) : (string * float) list =
         rows;
       List.mapi (fun i (s, _) -> (s, exp (sums.(i) /. count))) r0.series
 
+(** A figure's rows plus its per-series geomeans, as JSON.  The hand
+    column is [nan] where no hand-written kernel exists, which
+    {!Pobs.Json} emits as [null]. *)
+let to_json (rows : row list) : Pobs.Json.t =
+  let series kvs = Pobs.Json.Obj (List.map (fun (s, v) -> (s, Pobs.Json.Float v)) kvs) in
+  Pobs.Json.Obj
+    [
+      ( "rows",
+        Pobs.Json.Arr
+          (List.map
+             (fun r -> Pobs.Json.Obj [ ("name", Pobs.Json.Str r.name); ("series", series r.series) ])
+             rows) );
+      ("geomeans", series (geomeans rows));
+    ]
+
 let pp_table ppf ~title ~unit rows =
   Fmt.pf ppf "@.== %s ==@." title;
   (match rows with

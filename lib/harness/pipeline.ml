@@ -1,10 +1,10 @@
-(** The standard compilation pipeline, shared by [psimc] and the
-    harness: frontend → SSA check → Parsimony vectorizer → SSA check →
-    simplify → (optionally) legalize.
+(** The standard compilation pipeline, shared by [psimc], the serve
+    daemon and the harness: frontend → SSA check → the strategy's
+    vectorizing pass → SSA check → simplify → (optionally) legalize.
 
-    Centralizes the file-reading and module-building boilerplate that
-    used to be duplicated between [bin/psimc.ml] and this library, and
-    adds the observability hooks: every stage already runs under a
+    It also owns what a strategy means: which pass vectorizes, which
+    source a built-in kernel compiles from, and which scorecards a
+    compile reports.  It adds the observability hooks: every stage already runs under a
     [Pobs.Trace] span inside its own library, the whole pipeline runs
     under a "pipeline" span here, and [dump_ir] writes an IR snapshot
     after each stage ([--print-after-all] style) as
@@ -77,11 +77,25 @@ let stage cfg name f =
       hook name (Pobs.Trace.now_us () - t0);
       r
 
+(** What the vectorizing pass reported: the Parsimony vectorizer's or
+    the SLP packer's per-function reports, by strategy. *)
+type reports =
+  | Spmd of Parsimony.Vectorizer.report list
+  | Slp of Parsimony.Slp.report list
+
+(** Run the vectorizing pass [opts]' strategy picks on [m], in place:
+    the Parsimony SPMD widener, or SLP packing over straight-line
+    regions (SPMD functions keep their gang marker and stay per-thread;
+    only intra-thread statement groups pack). *)
+let vectorize (opts : Parsimony.Options.t) m : reports =
+  match opts.strategy with
+  | Parsimony.Options.Parsimony -> Spmd (Parsimony.Vectorizer.run_module ~opts m)
+  | Parsimony.Options.SlpOptimal -> Slp (Parsimony.Slp.run_module m)
+
 (** Compile [src] through the configured pipeline.  Returns the final
-    module and the vectorizer's per-function reports (empty when
+    module and the vectorizing pass's reports ([Spmd []] when
     [vectorize] is off). *)
-let compile ?(cfg = default) ~name src :
-    Pir.Func.modul * Parsimony.Vectorizer.report list =
+let compile_reports ?(cfg = default) ~name src : Pir.Func.modul * reports =
   Pobs.Trace.with_span ~cat:"pipeline" ~args:[ ("module", name) ] "pipeline"
     (fun () ->
       let m = stage cfg "frontend" (fun () -> Pfrontend.Lower.compile ~name src) in
@@ -89,25 +103,12 @@ let compile ?(cfg = default) ~name src :
       stage cfg "check" (fun () -> Panalysis.Check.check_module m);
       let reports =
         if cfg.vectorize then begin
-          (* the strategy option picks the vectorizing pass: the
-             Parsimony SPMD widener, or SLP packing over straight-line
-             regions (SPMD functions keep their gang marker and stay
-             per-thread; only intra-thread statement groups pack) *)
-          let reports =
-            match cfg.opts.Parsimony.Options.strategy with
-            | Parsimony.Options.Parsimony ->
-                stage cfg "vectorize" (fun () ->
-                    Parsimony.Vectorizer.run_module ~opts:cfg.opts m)
-            | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-                stage cfg "vectorize" (fun () ->
-                    ignore (Parsimony.Slp.run_module ~opts:cfg.opts m);
-                    [])
-          in
+          let reports = stage cfg "vectorize" (fun () -> vectorize cfg.opts m) in
           dump_after cfg m "vectorize";
           stage cfg "recheck" (fun () -> Panalysis.Check.check_module m);
           reports
         end
-        else []
+        else Spmd []
       in
       if cfg.simplify then begin
         stage cfg "simplify" (fun () -> Parsimony.Simplify.run_module m);
@@ -118,6 +119,33 @@ let compile ?(cfg = default) ~name src :
         dump_after cfg m "legalize"
       end;
       (m, reports))
+
+(** [compile_reports] keeping only the Parsimony vectorizer's reports
+    (empty under SLP). *)
+let compile ?cfg ~name src : Pir.Func.modul * Parsimony.Vectorizer.report list =
+  match compile_reports ?cfg ~name src with
+  | m, Spmd reports -> (m, reports)
+  | m, Slp _ -> (m, [])
+
+(** Compile [src] and return the coverage scorecard of every function
+    the strategy's pass vectorized. *)
+let scorecards ?cfg ~name src : Pir.Func.modul * Parsimony.Scorecard.t list =
+  match compile_reports ?cfg ~name src with
+  | m, Spmd reports -> (m, Parsimony.Scorecard.of_module ~reports m)
+  | m, Slp reports -> (m, Parsimony.Scorecard.of_module_slp ~reports m)
+
+(** The source a built-in kernel (Figure 5's Simd Library or Figure 4's
+    ispc suite) compiles from under [opts]' strategy: its PsimC variant
+    for Parsimony, its serial variant for SLP, which packs standard
+    scalar code (restrict qualifiers included). *)
+let kernel_source (opts : Parsimony.Options.t) name : string option =
+  List.find_opt
+    (fun (k : Psimdlib.Workload.kernel) -> k.kname = name)
+    (Psimdlib.Registry.all @ Pispc.Suite.all)
+  |> Option.map (fun (k : Psimdlib.Workload.kernel) ->
+         match opts.strategy with
+         | Parsimony.Options.Parsimony -> k.psim_src
+         | Parsimony.Options.SlpOptimal -> k.serial_src)
 
 (** [compile] on a source file; the module is named after the file. *)
 let compile_file ?cfg path =

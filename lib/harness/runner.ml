@@ -76,9 +76,9 @@ let build_module (k : Workload.kernel) (impl : impl) : Pir.Func.modul =
         let m = Compile_cache.compile ~name:k.kname k.serial_src in
         ignore (Pautovec.Autovec.run_module m);
         m
-    | SlpImpl opts ->
+    | SlpImpl _ ->
         let m = Compile_cache.compile ~name:k.kname k.serial_src in
-        ignore (Parsimony.Slp.run_module ~opts m);
+        ignore (Parsimony.Slp.run_module m);
         m
     | ParsimonyImpl opts ->
         let m = Compile_cache.compile ~name:k.kname k.psim_src in

@@ -194,21 +194,6 @@ let opts_of_json j =
         Parsimony.Options.default kvs
   | Some _ -> bad "options: expected an object"
 
-(* The SLP strategies compile the kernel's *serial* source (standard
-   scalar code, no SPMD annotations), same as [psimc]'s resolution. *)
-let builtin_source (opts : Parsimony.Options.t) name =
-  match
-    List.find_opt
-      (fun (k : Psimdlib.Workload.kernel) -> k.kname = name)
-      (Psimdlib.Registry.all @ Pispc.Suite.all)
-  with
-  | Some k -> (
-      match opts.Parsimony.Options.strategy with
-      | Parsimony.Options.Parsimony -> k.psim_src
-      | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-          k.serial_src)
-  | None -> bad "no such built-in kernel %S" name
-
 let needs_source = function
   | "compile" | "lint" | "report" | "exec" | "profile" -> true
   | _ -> false
@@ -230,7 +215,10 @@ let parse_request j : request =
     match (get_str j "source", kernel) with
     | Some s, Some _ -> ignore s; bad "pass \"source\" or \"kernel\", not both"
     | Some s, None -> s
-    | None, Some k -> builtin_source r_opts k
+    | None, Some k -> (
+        match Pipeline.kernel_source r_opts k with
+        | Some src -> src
+        | None -> bad "no such built-in kernel %S" k)
     | None, None ->
         if needs_source r_verb then bad "%s: missing \"source\" or \"kernel\"" r_verb
         else ""
@@ -299,11 +287,10 @@ let handle_lint (r : request) : Pobs.Json.t =
     ]
 
 let handle_report ~stage_hook (r : request) : Pobs.Json.t =
-  let m, reports =
-    Pipeline.compile ~cfg:(pipeline_cfg ~opts:r.r_opts ~stage_hook) ~name:r.r_name
+  let _, cards =
+    Pipeline.scorecards ~cfg:(pipeline_cfg ~opts:r.r_opts ~stage_hook) ~name:r.r_name
       r.r_source
   in
-  let cards = Parsimony.Scorecard.of_module ~reports m in
   Pobs.Json.Obj
     [ ("scorecards", Pobs.Json.Arr (List.map Parsimony.Scorecard.to_json cards)) ]
 

@@ -10,8 +10,9 @@
       functions their programming-model semantics (paper §3): a gang of
       conceptually independent threads with weak forward-progress,
       scheduled cooperatively and exchanging data only at explicit
-      horizontal operations.  It is the oracle that differential tests
-      compare the vectorizer's output against.
+      horizontal operations.  The gang rules live in {!Gang}; this
+      module supplies the per-thread step.  It is the oracle that
+      differential tests compare the vectorizer's output against.
 
     When the interpreter calls a function that still carries an SPMD
     annotation it dispatches one gang to the reference executor, so the
@@ -372,6 +373,34 @@ let exec_phis t (f : Pir.Func.t) env (be : bexec) ~prev_label ~account =
     end
   end
 
+(* -- SPMD threads --
+
+   One logical thread of a gang ([run_spmd_gang]): its own environment
+   and control position, and the value operations [Gang] routes
+   horizontal calls with. *)
+
+type thread = {
+  lane : int;
+  env : env;
+  mutable be : bexec;
+  mutable idx : int;
+  mutable prev : string;
+}
+
+let gang_ops : Value.t Gang.ops =
+  {
+    unit = Value.Unit;
+    zero = Value.zero;
+    int = Value.as_int;
+    sad =
+      (fun _ pairs ->
+        Value.I
+          (List.fold_left
+             (fun acc (a, b) ->
+               Int64.add acc (Pir.Ints.abs_diff_u 8 (Value.as_int a) (Value.as_int b)))
+             0L pairs));
+  }
+
 (* -- instruction execution (shared by both engines) --
    [exec_call] handles Call ops; everything else is interpreted here.
    Fuel/instr/cycle accounting is the caller's job: the serial engine
@@ -598,61 +627,27 @@ and dispatch_call t name args : Value.t =
   | CFunc callee -> exec_func t callee args
   | CUnknown -> trap "call to unknown function %s" name
 
-(* -- SPMD reference executor -- *)
+(* -- SPMD reference executor --
 
-(* A logical thread of the gang: its own environment and control
-   position; [AtSync] marks a thread parked at a horizontal operation
-   with its evaluated arguments. *)
+   [Gang] owns the gang's semantics (activation, scheduling,
+   synchronization checks, horizontal-op lane routing); what follows is
+   one logical thread's cursor and step over this interpreter. *)
+
 and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
-  let { Pir.Func.gang_size; partial } =
-    match f.spmd with Some s -> s | None -> assert false
-  in
-  (* calling convention: ... captured params ..., gang_num, num_threads *)
-  let gang_num, num_threads =
-    match List.rev args with
-    | nt :: gn :: _ -> (Value.as_int gn, Value.as_int nt)
-    | _ -> trap "SPMD function %s called with too few arguments" f.fname
-  in
-  let active =
-    if partial then
-      let rem = Int64.sub num_threads (Int64.mul gang_num (Int64.of_int gang_size)) in
-      max 0 (min gang_size (Int64.to_int rem))
-    else gang_size
-  in
   let fe = fexec_of t f in
-  let module TS = struct
-    type status = Running | AtSync of instr * Value.t list | Finished
-
-    type thread = {
-      lane : int;
-      env : env;
-      mutable be : bexec;
-      mutable idx : int;
-      mutable prev : string;
-      mutable status : status;
-    }
-  end in
-  let open TS in
-  let threads =
-    Array.init active (fun lane ->
-        {
-          lane;
-          env = make_env f args;
-          be = fe.entry_be;
-          idx = 0;
-          prev = "$entry";
-          status = Running;
-        })
-  in
   let frame = Memory.mark t.mem in
-  if t.profile then fe.entry_be.p_entries <- fe.entry_be.p_entries + active;
-  (* Step one thread until it parks or finishes.  On block entry the phi
+  let init lane =
+    if t.profile then fe.entry_be.p_entries <- fe.entry_be.p_entries + 1;
+    { lane; env = make_env f args; be = fe.entry_be; idx = 0; prev = "$entry" }
+  in
+  (* Run one thread until it parks or returns.  On block entry the phi
      prefix is evaluated atomically (phis read their inputs
      simultaneously), so [idx] always points past the phis. *)
-  let step_thread th =
+  let step th =
+    let parked = ref None in
     let exec_call instr name vargs =
       if Pir.Intrinsics.is_horizontal name then begin
-        th.status <- AtSync (instr, vargs);
+        parked := Some (Gang.Parked (instr, vargs));
         Value.Unit
       end
       else if name = Pir.Intrinsics.lane_num then Value.I (Int64.of_int th.lane)
@@ -665,8 +660,7 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
       exec_phis t f th.env nb ~prev_label:th.prev ~account:true;
       th.idx <- nb.nphis
     in
-    let continue = ref true in
-    while !continue && th.status = Running do
+    let rec go () =
       let all = th.be.all in
       if th.idx < Array.length all then begin
         let i = Array.unsafe_get all th.idx in
@@ -684,128 +678,37 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
           if t.count_cost then
             attr_cyc th.be (Array.unsafe_get th.be.costs th.idx)
         end;
-        match th.status with
-        | AtSync _ -> () (* parked; do not advance; re-run on wake *)
-        | _ ->
+        match !parked with
+        | Some stop -> stop (* [resume] moves past the call *)
+        | None ->
             if i.ty <> Pir.Types.Void then th.env.vals.(i.id) <- v;
-            th.idx <- th.idx + 1
+            th.idx <- th.idx + 1;
+            go ()
       end
       else begin
         if t.count_cost then begin
           charge t th.be.term_cost;
           if t.profile then attr_cyc th.be th.be.term_cost
         end;
-        match th.be.blk.term with
-        | Br _ -> (
-            match th.be.targets with
-            | Tbr nb -> enter_bexec nb
-            | _ -> assert false)
-        | CondBr (c, _, _) -> (
-            match th.be.targets with
-            | Tcond (bt, bf) ->
-                enter_bexec
-                  (if Value.as_bool (get_operand th.env c) then bt else bf)
-            | _ -> assert false)
-        | Ret _ ->
-            th.status <- Finished;
-            continue := false
-        | Unreachable -> trap "SPMD thread reached unreachable in %s" f.fname
+        match (th.be.blk.term, th.be.targets) with
+        | Br _, Tbr nb ->
+            enter_bexec nb;
+            go ()
+        | CondBr (c, _, _), Tcond (bt, bf) ->
+            enter_bexec (if Value.as_bool (get_operand th.env c) then bt else bf);
+            go ()
+        | Ret _, _ -> Gang.Finished
+        | Unreachable, _ -> trap "SPMD thread reached unreachable in %s" f.fname
+        | _ -> assert false
       end
-    done
-  in
-  (* Resume all parked threads with per-lane results of the horizontal
-     operation they are parked at. *)
-  let resolve_sync () =
-    let parked =
-      Array.to_list threads
-      |> List.filter_map (fun th ->
-             match th.status with AtSync (i, args) -> Some (th, i, args) | _ -> None)
     in
-    match parked with
-    | [] -> ()
-    | (_, i0, _) :: _ ->
-        if List.exists (fun (_, i, _) -> i.id <> i0.id) parked then
-          trap
-            "divergent horizontal operation: gang threads synchronized at \
-             different call sites in %s"
-            f.fname;
-        if List.length parked <> Array.length threads then
-          trap
-            "divergent horizontal operation: only %d of %d threads reached \
-             the synchronization in %s (weak forward progress violated)"
-            (List.length parked) (Array.length threads) f.fname;
-        let name = match i0.op with Call (n, _) -> n | _ -> assert false in
-        let results =
-          if name = Pir.Intrinsics.gang_sync then
-            List.map (fun _ -> Value.Unit) parked
-          else if name = Pir.Intrinsics.shuffle then
-            (* lane l receives the value contributed by lane idx(l) *)
-            let contributions = Array.make gang_size Value.Unit in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ v; _ ] -> contributions.(th.lane) <- v
-                | _ -> trap "psim.shuffle expects 2 arguments")
-              parked;
-            List.map
-              (fun ((_ : thread), _, args) ->
-                match args with
-                | [ _; idx ] ->
-                    let k = Int64.to_int (Value.as_int idx) land (gang_size - 1) in
-                    if k < active then contributions.(k)
-                    else Value.zero (Pir.Types.Scalar Pir.Types.I8)
-                | _ -> assert false)
-              parked
-          else if name = Pir.Intrinsics.sad_u8 then
-            (* per-8-lane-group sum of absolute differences; every lane of
-               a group receives the group's sum (paper §7 abstraction) *)
-            let a = Array.make gang_size 0L and b = Array.make gang_size 0L in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ x; y ] ->
-                    a.(th.lane) <- Value.as_int x;
-                    b.(th.lane) <- Value.as_int y
-                | _ -> trap "psim.sad_u8 expects 2 arguments")
-              parked;
-            List.map
-              (fun ((th : thread), _, _) ->
-                let g = th.lane / 8 in
-                let acc = ref 0L in
-                for k = 0 to 7 do
-                  let l = (g * 8) + k in
-                  if l < active then
-                    acc := Int64.add !acc (Pir.Ints.abs_diff_u 8 a.(l) b.(l))
-                done;
-                Value.I !acc)
-              parked
-          else trap "unknown horizontal operation %s" name
-        in
-        List.iter2
-          (fun ((th : thread), i, _) r ->
-            if i.ty <> Pir.Types.Void then th.env.vals.(i.id) <- r;
-            th.idx <- th.idx + 1;
-            th.status <- Running)
-          parked results
+    go ()
   in
-  let rec scheduler () =
-    let ran = ref false in
-    Array.iter
-      (fun th ->
-        if th.status = Running then begin
-          ran := true;
-          step_thread th
-        end)
-      threads;
-    let unfinished = Array.exists (fun th -> th.status <> Finished) threads in
-    if unfinished then begin
-      resolve_sync ();
-      if (not !ran) && not (Array.exists (fun th -> th.status = Running) threads)
-      then trap "SPMD deadlock in %s" f.fname;
-      scheduler ()
-    end
+  let resume th (i : instr) v =
+    if i.ty <> Pir.Types.Void then th.env.vals.(i.id) <- v;
+    th.idx <- th.idx + 1
   in
-  if active > 0 then scheduler ();
+  Gang.run ~fault:(fun s -> Trap s) ~ops:gang_ops ~init ~step ~resume f args;
   Memory.release t.mem frame;
   Value.Unit
 

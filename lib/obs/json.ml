@@ -9,7 +9,7 @@
     recombined; numbers parse with [float_of_string]).
 
     Non-finite floats have no JSON representation and are emitted as
-    [null], matching [Pharness.Json_out]. *)
+    [null]. *)
 
 type t =
   | Null

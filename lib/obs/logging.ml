@@ -31,6 +31,18 @@ let env_level () =
           Fmt.epr "PARSIMONY_LOG: %s@." msg;
           None)
 
+(* [Logs_fmt]'s reporter writes straight into the shared [Fmt.stderr]
+   formatter, whose pretty-printing queue is not domain-safe: two pool
+   domains logging at once (the serve daemon's workers) interleaved
+   lines and raised [Queue.Empty].  So each message is reported whole
+   under one lock. *)
+let reporter =
+  let lock = Mutex.create () and inner = Logs_fmt.reporter ~dst:Fmt.stderr () in
+  let report src level ~over k msgf =
+    Mutex.protect lock (fun () -> inner.Logs.report src level ~over k msgf)
+  in
+  { Logs.report }
+
 let setup ?level () =
   let resolved =
     match level with
@@ -41,4 +53,4 @@ let setup ?level () =
         | None -> Some Logs.Warning)
   in
   Logs.set_level resolved;
-  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ())
+  Logs.set_reporter reporter

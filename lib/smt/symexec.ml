@@ -23,10 +23,12 @@
 
     The module mirrors the reference semantics of [Pmachine]:
     {!Eval.pure_op} for data operations (including exact fold orders of
-    reductions and float rounding through [Value.round_float]),
-    [Interp.exec_instr] for memory, and [Interp.run_spmd_gang] — the
-    cooperative sequential-threads scheduler, horizontal-operation
-    parking, partial-gang activation — for SPMD reference execution. *)
+    reductions and float rounding through [Value.round_float]) and
+    [Interp.exec_instr] for memory.  SPMD reference execution runs on
+    {!Pmachine.Gang} itself — the cooperative sequential-threads
+    scheduler, horizontal-operation parking and lane routing,
+    partial-gang activation — the same module the interpreter runs
+    gangs on; only the per-thread step is symbolic. *)
 
 open Pir
 
@@ -841,6 +843,35 @@ let exec_phis xc f env ~prev_label (b : Func.block) : int =
     results;
   List.length phis
 
+(* One logical thread of an SPMD gang ({!exec_spmd}). *)
+type thread = {
+  lane : int;
+  env : env;
+  mutable blk : Func.block;
+  mutable rest : Instr.instr list;
+      (** instructions not yet executed; a parked thread's head is its
+          horizontal call, which [resume] pops *)
+  mutable prev : string;
+}
+
+(* The value operations {!Pmachine.Gang} routes horizontal calls with. *)
+let gang_ops xc : sval Pmachine.Gang.ops =
+  let ctx = xc.ctx in
+  {
+    unit = SUnit;
+    zero = (fun ty -> S (zero_of ctx (Types.elem ty)));
+    int = (fun v -> force_int (as_scalar v));
+    sad =
+      (fun ty pairs ->
+        let s = Types.elem ty in
+        S
+          (List.fold_left
+             (fun acc (a, b) ->
+               let d = mk_ibin ctx Instr.AbsDiffU Types.I8 (as_scalar a) (as_scalar b) in
+               mk_ibin ctx Instr.Add s acc (mk_cast ctx Instr.ZExt ~src:Types.I8 ~dst:s d))
+             (int_const ctx s 0L) pairs));
+  }
+
 (** Serial execution of a non-SPMD function (the vectorized side, the
     host driver, helper callees). *)
 let rec exec_serial xc (f : Func.t) (args : sval list) : sval =
@@ -893,55 +924,18 @@ and dispatch_call xc name (args : sval list) : sval =
     | Some callee -> exec_func xc callee args
     | None -> raise (Sym_fault (Fmt.str "call to unknown function %s" name))
 
-(** SPMD reference execution, mirroring [Interp.run_spmd_gang]: [active]
-    sequential logical threads stepped round-robin (thread 0 first),
-    parking at horizontal operations which resolve once all threads
-    arrive at the same call site. *)
+(** SPMD reference execution: {!Pmachine.Gang} runs the gang; this is
+    one logical thread's cursor and step over the symbolic evaluator. *)
 and exec_spmd xc (f : Func.t) (args : sval list) : sval =
-  let { Func.gang_size; partial } =
-    match f.Func.spmd with Some s -> s | None -> assert false
+  let init lane =
+    let entry = Func.entry f in
+    { lane; env = make_env xc f args; blk = entry; rest = entry.Func.instrs; prev = "$entry" }
   in
-  let gang_num, num_threads =
-    match List.rev args with
-    | nt :: gn :: _ -> (gn, nt)
-    | _ -> raise (Sym_fault (Fmt.str "SPMD function %s called with too few arguments" f.Func.fname))
-  in
-  let active =
-    if partial then
-      let gn = force_int (as_scalar gang_num)
-      and nt = force_int (as_scalar num_threads) in
-      let rem = Int64.sub nt (Int64.mul gn (Int64.of_int gang_size)) in
-      max 0 (min gang_size (Int64.to_int rem))
-    else gang_size
-  in
-  let module TS = struct
-    type status = Running | AtSync of Instr.instr * sval list | Finished
-
-    type thread = {
-      lane : int;
-      env : env;
-      mutable blk : Func.block;
-      mutable rest : Instr.instr list;  (** instructions not yet executed *)
-      mutable prev : string;
-      mutable status : status;
-    }
-  end in
-  let open TS in
-  let threads =
-    Array.init active (fun lane ->
-        {
-          lane;
-          env = make_env xc f args;
-          blk = Func.entry f;
-          rest = (Func.entry f).Func.instrs;
-          prev = "$entry";
-          status = Running;
-        })
-  in
-  let step_thread th =
+  let step th =
+    let parked = ref None in
     let exec_call instr name vargs =
       if Intrinsics.is_horizontal name then begin
-        th.status <- AtSync (instr, vargs);
+        parked := Some (Pmachine.Gang.Parked (instr, vargs));
         SUnit
       end
       else if name = Intrinsics.lane_num then
@@ -954,140 +948,38 @@ and exec_spmd xc (f : Func.t) (args : sval list) : sval =
       let nphis = exec_phis xc f th.env ~prev_label:th.prev nb in
       th.rest <- List.filteri (fun k _ -> k >= nphis) nb.Func.instrs
     in
-    let continue = ref true in
-    while !continue && th.status = Running do
+    let rec go () =
       match th.rest with
       | i :: rest -> (
           burn xc;
           let v = exec_instr_sym xc f th.env ~prev_label:th.prev ~exec_call i in
-          match th.status with
-          | AtSync _ -> () (* parked; re-run on wake *)
-          | _ ->
+          match !parked with
+          | Some stop -> stop (* [resume] moves past the call *)
+          | None ->
               if i.Instr.ty <> Types.Void then th.env.vals.(i.Instr.id) <- v;
-              th.rest <- rest)
+              th.rest <- rest;
+              go ())
       | [] -> (
           match th.blk.Func.term with
-          | Instr.Br l -> enter_block (Func.find_block f l)
+          | Instr.Br l ->
+              enter_block (Func.find_block f l);
+              go ()
           | Instr.CondBr (c, t, e) ->
               burn xc;
               enter_block
-                (Func.find_block f
-                   (if force_bool (as_scalar (th.env.get c)) then t else e))
-          | Instr.Ret _ ->
-              th.status <- Finished;
-              continue := false
+                (Func.find_block f (if force_bool (as_scalar (th.env.get c)) then t else e));
+              go ()
+          | Instr.Ret _ -> Pmachine.Gang.Finished
           | Instr.Unreachable ->
               raise (Sym_fault (Fmt.str "SPMD thread reached unreachable in %s" f.Func.fname)))
-    done
-  in
-  let resolve_sync () =
-    let parked =
-      Array.to_list threads
-      |> List.filter_map (fun th ->
-             match th.status with
-             | AtSync (i, args) -> Some (th, i, args)
-             | _ -> None)
     in
-    match parked with
-    | [] -> ()
-    | (_, i0, _) :: _ ->
-        if List.exists (fun (_, (i : Instr.instr), _) -> i.Instr.id <> i0.Instr.id) parked
-        then
-          raise
-            (Sym_fault
-               (Fmt.str
-                  "divergent horizontal operation: gang threads synchronized \
-                   at different call sites in %s"
-                  f.Func.fname));
-        if List.length parked <> Array.length threads then
-          raise
-            (Sym_fault
-               (Fmt.str
-                  "divergent horizontal operation: only %d of %d threads \
-                   reached the synchronization in %s"
-                  (List.length parked) (Array.length threads) f.Func.fname));
-        let name = match i0.Instr.op with Instr.Call (n, _) -> n | _ -> assert false in
-        let results =
-          if name = Intrinsics.gang_sync then List.map (fun _ -> SUnit) parked
-          else if name = Intrinsics.shuffle then begin
-            let contributions = Array.make gang_size SUnit in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ v; _ ] -> contributions.(th.lane) <- v
-                | _ -> raise (Sym_fault "psim.shuffle expects 2 arguments"))
-              parked;
-            List.map
-              (fun ((_ : thread), _, args) ->
-                match args with
-                | [ _; idx ] ->
-                    let k =
-                      Int64.to_int
-                        (Int64.logand (force_int (as_scalar idx))
-                           (Int64.of_int (gang_size - 1)))
-                    in
-                    if k < active then contributions.(k)
-                    else S (int_const xc.ctx Types.I8 0L)
-                | _ -> assert false)
-              parked
-          end
-          else if name = Intrinsics.sad_u8 then begin
-            let zero = int_const xc.ctx Types.I8 0L in
-            let a = Array.make gang_size zero and b = Array.make gang_size zero in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ x; y ] ->
-                    a.(th.lane) <- as_scalar x;
-                    b.(th.lane) <- as_scalar y
-                | _ -> raise (Sym_fault "psim.sad_u8 expects 2 arguments"))
-              parked;
-            List.map
-              (fun ((th : thread), (i : Instr.instr), _) ->
-                let s = Types.elem i.Instr.ty in
-                let g = th.lane / 8 in
-                let acc = ref (int_const xc.ctx s 0L) in
-                for k = 0 to 7 do
-                  let l = (g * 8) + k in
-                  if l < active then begin
-                    let d = mk_ibin xc.ctx Instr.AbsDiffU Types.I8 a.(l) b.(l) in
-                    acc :=
-                      mk_ibin xc.ctx Instr.Add s !acc
-                        (mk_cast xc.ctx Instr.ZExt ~src:Types.I8 ~dst:s d)
-                  end
-                done;
-                S !acc)
-              parked
-          end
-          else raise (Sym_fault (Fmt.str "unknown horizontal operation %s" name))
-        in
-        List.iter2
-          (fun ((th : thread), (i : Instr.instr), _) r ->
-            if i.Instr.ty <> Types.Void then th.env.vals.(i.Instr.id) <- r;
-            th.rest <- List.tl th.rest;
-            th.status <- Running)
-          parked results
+    go ()
   in
-  let rec scheduler () =
-    let ran = ref false in
-    Array.iter
-      (fun th ->
-        if th.status = Running then begin
-          ran := true;
-          step_thread th
-        end)
-      threads;
-    let unfinished = Array.exists (fun th -> th.status <> Finished) threads in
-    if unfinished then begin
-      resolve_sync ();
-      if
-        (not !ran)
-        && not (Array.exists (fun th -> th.status = Running) threads)
-      then raise (Sym_fault (Fmt.str "SPMD deadlock in %s" f.Func.fname));
-      scheduler ()
-    end
+  let resume th (i : Instr.instr) v =
+    if i.Instr.ty <> Types.Void then th.env.vals.(i.Instr.id) <- v;
+    th.rest <- List.tl th.rest
   in
-  if active > 0 then scheduler ();
+  Pmachine.Gang.run ~fault:(fun s -> Sym_fault s) ~ops:(gang_ops xc) ~init ~step ~resume f args;
   SUnit
 
 (** Execute [f]: SPMD functions get the cooperative reference scheduler,
@@ -1096,9 +988,6 @@ and exec_func xc (f : Func.t) (args : sval list) : sval =
   match f.Func.spmd with
   | Some _ -> exec_spmd xc f args
   | None -> exec_serial xc f args
-
-(* parked-thread resolution pops the parked call off [rest]: keep the
-   park marker consistent by never clearing [rest] elsewhere *)
 
 (* -- pretty-printing for counterexample traces -- *)
 

@@ -1,6 +1,7 @@
 (* Tests for the machine substrate: memory, math library, scalar
-   interpreter, vector operations, cost accounting, and the SPMD
-   reference executor's synchronization semantics. *)
+   interpreter, vector operations, cost accounting, and the SPMD gang
+   semantics of both reference executors (interpreter and symbolic
+   executor). *)
 
 open Pir
 
@@ -169,17 +170,101 @@ let test_mathlib () =
       Alcotest.(check (float 1e-6)) "sqrt9" 3.0 b
   | v -> Alcotest.failf "unexpected %a" Pmachine.Value.pp v
 
-(* -- SPMD reference executor -- *)
+(* -- SPMD reference executors --
+
+   Every case runs on both executors that give SPMD functions their
+   reference semantics through [Pmachine.Gang]: the interpreter, and
+   the symbolic executor on concrete inputs.  The function's leading
+   parameters are [int32*] buffers with the given initial contents, the
+   rest are [int64]s ending with [gang_num, num_threads].  Both
+   executors must leave the same buffer contents, or fault with the
+   same text. *)
+
+type outcome = Bufs of int64 array list | Fault of string
+
+let pp_outcome ppf = function
+  | Bufs bs ->
+      Fmt.(list ~sep:semi (brackets (array ~sep:semi int64))) ppf bs
+  | Fault msg -> Fmt.pf ppf "fault: %s" msg
+
+let outcome = Alcotest.testable pp_outcome ( = )
+
+let run_interp (f : Func.t) ~bufs ~tail =
+  let m = Func.create_module "t" in
+  Func.add_func m f;
+  let t = Pmachine.Interp.create m in
+  let mem = t.Pmachine.Interp.mem in
+  let addrs =
+    List.map
+      (fun b ->
+        Pmachine.Memory.alloc_array mem Types.I32
+          (Array.map (fun v -> Pmachine.Value.I v) b))
+      bufs
+  in
+  let args =
+    List.map (fun a -> Pmachine.Value.I (Int64.of_int a)) addrs
+    @ List.map (fun v -> Pmachine.Value.I v) tail
+  in
+  match Pmachine.Interp.run t f.fname args with
+  | exception Pmachine.Interp.Trap msg -> Fault msg
+  | _ ->
+      Bufs
+        (List.map2
+           (fun a b ->
+             Pmachine.Memory.read_array mem Types.I32 a (Array.length b)
+             |> Array.map (fun v -> Ints.norm 32 (Pmachine.Value.as_int v)))
+           addrs bufs)
+
+let run_symexec (f : Func.t) ~bufs ~tail =
+  let module S = Psmt.Symexec in
+  let ctx = S.create_ctx () in
+  let st = { S.objs = [] } in
+  let objs =
+    List.mapi
+      (fun k b ->
+        S.add_obj st ~name:(Fmt.str "buf%d" k) ~kind:Types.I32
+          ~cells:(Array.map (S.int_const ctx Types.I32) b)
+          ~lo:0 ~private_:false)
+      bufs
+  in
+  let args =
+    List.map (fun (o : S.obj) -> S.S (S.int_const ctx Types.I64 (S.obj_base o.oid))) objs
+    @ List.map (fun v -> S.S (S.int_const ctx Types.I64 v)) tail
+  in
+  let xc = { S.ctx; st; lookup = (fun _ -> None); fuel = 100_000 } in
+  match S.exec_func xc f args with
+  | exception S.Sym_fault msg -> Fault msg
+  | _ ->
+      Bufs
+        (List.map
+           (fun (o : S.obj) ->
+             Array.map
+               (fun c ->
+                 match S.as_cint c with
+                 | Some v -> v
+                 | None -> Alcotest.fail "symbolic cell on concrete inputs")
+               o.cells)
+           objs)
+
+let run_spmd f ~bufs ~tail =
+  let r = run_interp f ~bufs ~tail in
+  Alcotest.check outcome "interpreter and symbolic executor agree" r
+    (run_symexec f ~bufs ~tail);
+  r
+
+let spmd_func name ~gang ?(partial = false) ~bufs () =
+  let params =
+    List.init bufs (fun k -> (k, Types.Ptr Types.I32))
+    @ [ (bufs, Types.i64); (bufs + 1, Types.i64) ]
+  in
+  Func.create name ~params ~ret:Types.Void ~spmd:{ Func.gang_size = gang; partial }
+
+let lanes n f = Array.init n (fun i -> Int64.of_int (f i))
 
 (* SPMD function: a[i] = lane; then sync; then b[i] = a[(i+1) % G] read
    through memory — the Listing 3 pattern (explicit synchronization). *)
 let build_spmd_listing3 gang =
-  let f =
-    Func.create "spmd3"
-      ~params:[ (0, Types.Ptr Types.I32); (1, Types.Ptr Types.I32); (2, Types.i64); (3, Types.i64) ]
-      ~ret:Types.Void
-      ~spmd:{ Func.gang_size = gang; partial = false }
-  in
+  let f = spmd_func "spmd3" ~gang ~bufs:2 () in
   let b = Builder.create f in
   let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
   let p = Builder.gep b (Instr.Var 0) lane in
@@ -199,28 +284,10 @@ let test_spmd_sync_through_memory () =
   let gang = 8 in
   let f = build_spmd_listing3 gang in
   Panalysis.Check.check_func f;
-  let m = Func.create_module "t" in
-  Func.add_func m f;
-  let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
-  let a = Pmachine.Memory.alloc mem (4 * gang) in
-  let bb = Pmachine.Memory.alloc mem (4 * gang) in
-  ignore
-    (Pmachine.Interp.run t "spmd3"
-       [
-         Pmachine.Value.I (Int64.of_int a);
-         Pmachine.Value.I (Int64.of_int bb);
-         Pmachine.Value.I 0L;
-         Pmachine.Value.I (Int64.of_int gang);
-       ]);
-  let out = Pmachine.Memory.read_array mem Types.I32 bb gang in
-  Array.iteri
-    (fun i v ->
-      Alcotest.check valt
-        (Fmt.str "lane %d reads neighbour" i)
-        (Pmachine.Value.I (Int64.of_int ((i + 1) mod gang)))
-        v)
-    out
+  let zeros = Array.make gang 0L in
+  Alcotest.check outcome "lane i reads its neighbour"
+    (Bufs [ lanes gang Fun.id; lanes gang (fun i -> (i + 1) mod gang) ])
+    (run_spmd f ~bufs:[ zeros; zeros ] ~tail:[ 0L; Int64.of_int gang ])
 
 (* Without the gang_sync, the round-robin reference scheduler runs each
    thread to completion in turn, so lane i reads a stale neighbour value:
@@ -239,124 +306,139 @@ let test_spmd_race_without_sync () =
             | _ -> true)
           bl.instrs)
     f.Func.blocks;
-  let m = Func.create_module "t" in
-  Func.add_func m f;
-  let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
-  let a = Pmachine.Memory.alloc mem (4 * gang) in
-  let bb = Pmachine.Memory.alloc mem (4 * gang) in
-  ignore
-    (Pmachine.Interp.run t "spmd3"
-       [
-         Pmachine.Value.I (Int64.of_int a);
-         Pmachine.Value.I (Int64.of_int bb);
-         Pmachine.Value.I 0L;
-         Pmachine.Value.I (Int64.of_int gang);
-       ]);
-  let out = Pmachine.Memory.read_array mem Types.I32 bb 1 in
-  (* thread 0 runs to completion first and reads a[1] before thread 1
-     wrote it: observes 0, not 1 *)
-  Alcotest.check valt "lane 0 observes stale value" (Pmachine.Value.I 0L) out.(0)
+  let zeros = Array.make gang 0L in
+  match run_spmd f ~bufs:[ zeros; zeros ] ~tail:[ 0L; Int64.of_int gang ] with
+  | Bufs [ _; out ] ->
+      (* thread 0 runs to completion first and reads a[1] before thread 1
+         wrote it: observes 0, not 1 *)
+      Alcotest.(check int64) "lane 0 observes stale value" 0L out.(0)
+  | r -> Alcotest.failf "unexpected %a" pp_outcome r
 
-let test_spmd_shuffle () =
-  let gang = 8 in
-  let f =
-    Func.create "shuf"
-      ~params:[ (0, Types.Ptr Types.I32); (1, Types.i64); (2, Types.i64) ]
-      ~ret:Types.Void
-      ~spmd:{ Func.gang_size = gang; partial = false }
-  in
+(* Every lane stores [shuffle (lane * 10, src lane)] to a[lane],
+   exchanging the value as a [ty] (i64 or f32). *)
+let build_spmd_shuffle ?(ty = Types.i64) ~gang ~partial src =
+  let f = spmd_func "shuf" ~gang ~partial ~bufs:1 () in
   let b = Builder.create f in
   let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
   let v = Builder.mul b lane (Instr.ci64 10) in
-  let src = Builder.xor b lane (Instr.ci64 1) in
-  (* butterfly exchange: lane l gets value of lane l^1 *)
-  let got = Builder.call b Types.i64 Intrinsics.shuffle [ v; src ] in
+  let v, back =
+    if ty = Types.i64 then (v, Instr.Trunc)
+    else (Builder.cast b Instr.SIToFP v ty, Instr.FPToSI)
+  in
+  let got = Builder.call b ty Intrinsics.shuffle [ v; src b lane ] in
   let p = Builder.gep b (Instr.Var 0) lane in
-  let g32 = Builder.cast b Instr.Trunc got Types.i32 in
-  Builder.store b g32 p;
+  Builder.store b (Builder.cast b back got Types.i32) p;
   Builder.ret_void b;
-  let m = Func.create_module "t" in
-  Func.add_func m f;
-  let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
-  let a = Pmachine.Memory.alloc mem (4 * gang) in
-  ignore
-    (Pmachine.Interp.run t "shuf"
-       [ Pmachine.Value.I (Int64.of_int a); Pmachine.Value.I 0L; Pmachine.Value.I (Int64.of_int gang) ]);
-  let out = Pmachine.Memory.read_array mem Types.I32 a gang in
-  Array.iteri
-    (fun i v ->
-      Alcotest.check valt (Fmt.str "lane %d" i)
-        (Pmachine.Value.I (Int64.of_int ((i lxor 1) * 10)))
-        v)
-    out
+  f
+
+let test_spmd_shuffle () =
+  let gang = 8 in
+  (* butterfly exchange: lane l gets value of lane l^1 *)
+  let f =
+    build_spmd_shuffle ~gang ~partial:false (fun b lane ->
+        Builder.xor b lane (Instr.ci64 1))
+  in
+  Alcotest.check outcome "lane l reads lane l^1"
+    (Bufs [ lanes gang (fun i -> (i lxor 1) * 10) ])
+    (run_spmd f ~bufs:[ Array.make gang 0L ] ~tail:[ 0L; Int64.of_int gang ])
+
+(* In a partial gang the source lane wraps to the gang size, and a
+   source at or past the active lanes reads the zero of the shuffled
+   type. *)
+let test_spmd_partial_shuffle () =
+  let gang = 8 in
+  List.iter
+    (fun ty ->
+      let f =
+        build_spmd_shuffle ~ty ~gang ~partial:true (fun b lane ->
+            Builder.add b lane (Instr.ci64 11))
+      in
+      (* 5 active lanes; lane l asks for lane (l + 11) mod 8 = l + 3 *)
+      Alcotest.check outcome
+        (Fmt.str "%a: sources 3, 4 delivered; 5, 6, 7 inactive" Types.pp ty)
+        (Bufs [ [| 30L; 40L; 0L; 0L; 0L; 7L; 7L; 7L |] ])
+        (run_spmd f ~bufs:[ Array.make gang 7L ] ~tail:[ 0L; 5L ]))
+    [ Types.i64; Types.f32 ]
+
+(* Every lane stores [sad_u8 (3 * lane, lane)] to a[lane]: each 8-lane
+   group's sum of |3l - l| = 2l over its active lanes. *)
+let test_spmd_partial_sad () =
+  let gang = 16 in
+  let f = spmd_func "sad" ~gang ~partial:true ~bufs:1 () in
+  let b = Builder.create f in
+  let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
+  let x = Builder.cast b Instr.Trunc (Builder.mul b lane (Instr.ci64 3)) Types.i8 in
+  let y = Builder.cast b Instr.Trunc lane Types.i8 in
+  let sad = Builder.call b Types.i64 Intrinsics.sad_u8 [ x; y ] in
+  let p = Builder.gep b (Instr.Var 0) lane in
+  Builder.store b (Builder.cast b Instr.Trunc sad Types.i32) p;
+  Builder.ret_void b;
+  (* 12 active lanes: group 0 is full (2 * (0 + ... + 7) = 56), group 1
+     holds lanes 8..11 only (2 * (8 + 9 + 10 + 11) = 76) *)
+  Alcotest.check outcome "per-group sums over active lanes"
+    (Bufs [ lanes gang (fun i -> if i < 8 then 56 else if i < 12 then 76 else 1) ])
+    (run_spmd f ~bufs:[ Array.make gang 1L ] ~tail:[ 0L; 12L ])
+
+(* A gang whose lanes below [split] branch to block "s" and the rest to
+   block "n"; [s] and [n] fill each block before it joins "j". *)
+let build_spmd_diverge name ~gang ~split ~s ~n =
+  let f = spmd_func name ~gang ~bufs:0 () in
+  let b = Builder.create f in
+  let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
+  let c = Builder.icmp b Instr.Ult lane (Instr.ci64 split) in
+  Builder.condbr b c "s" "n";
+  List.iter
+    (fun (label, fill) ->
+      Builder.position b (Builder.add_block b label);
+      fill b;
+      Builder.br b "j")
+    [ ("s", s); ("n", n) ];
+  Builder.position b (Builder.add_block b "j");
+  Builder.ret_void b;
+  f
+
+let sync b = Builder.call_unit b Intrinsics.gang_sync []
 
 (* Divergent sync: half the gang syncs, half does not -> the executor
    must report the weak-forward-progress violation. *)
 let test_spmd_divergent_sync_detected () =
-  let gang = 4 in
-  let f =
-    Func.create "div"
-      ~params:[ (0, Types.i64); (1, Types.i64) ]
-      ~ret:Types.Void
-      ~spmd:{ Func.gang_size = gang; partial = false }
-  in
-  let b = Builder.create f in
-  let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
-  let c = Builder.icmp b Instr.Ult lane (Instr.ci64 2) in
-  Builder.condbr b c "s" "n";
-  let bs = Builder.add_block b "s" in
-  Builder.position b bs;
-  Builder.call_unit b Intrinsics.gang_sync [];
-  Builder.br b "j";
-  let bn = Builder.add_block b "n" in
-  Builder.position b bn;
-  Builder.br b "j";
-  let bj = Builder.add_block b "j" in
-  Builder.position b bj;
-  Builder.ret_void b;
-  let m = Func.create_module "t" in
-  Func.add_func m f;
-  let t = Pmachine.Interp.create m in
-  match Pmachine.Interp.run t "div" [ Pmachine.Value.I 0L; Pmachine.Value.I 4L ] with
-  | exception Pmachine.Interp.Trap msg ->
+  let f = build_spmd_diverge "div" ~gang:4 ~split:2 ~s:sync ~n:ignore in
+  match run_spmd f ~bufs:[] ~tail:[ 0L; 4L ] with
+  | Fault msg ->
       Alcotest.(check bool) "mentions divergence" true
         (Astring_contains.contains msg "divergent")
-  | _ -> Alcotest.fail "divergent sync not detected"
+  | r -> Alcotest.failf "divergent sync not detected: %a" pp_outcome r
+
+let test_spmd_sync_sites_differ () =
+  let f = build_spmd_diverge "sites" ~gang:4 ~split:2 ~s:sync ~n:sync in
+  Alcotest.check outcome "different call sites fault"
+    (Fault
+       "divergent horizontal operation: gang threads synchronized at \
+        different call sites in sites")
+    (run_spmd f ~bufs:[] ~tail:[ 0L; 4L ])
+
+let test_spmd_partial_arrival () =
+  (* lane 0 returns while lanes 1..3 park at the sync *)
+  let f = build_spmd_diverge "arrive" ~gang:4 ~split:1 ~s:ignore ~n:sync in
+  Alcotest.check outcome "one thread finishing faults"
+    (Fault
+       "divergent horizontal operation: only 3 of 4 threads reached the \
+        synchronization in arrive (weak forward progress violated)")
+    (run_spmd f ~bufs:[] ~tail:[ 0L; 4L ])
 
 (* Partial gangs: only threads below num_threads run. *)
 let test_spmd_partial_gang () =
   let gang = 8 in
-  let f =
-    Func.create "part"
-      ~params:[ (0, Types.Ptr Types.I32); (1, Types.i64); (2, Types.i64) ]
-      ~ret:Types.Void
-      ~spmd:{ Func.gang_size = gang; partial = true }
-  in
+  let f = spmd_func "part" ~gang ~partial:true ~bufs:1 () in
   let b = Builder.create f in
   let lane = Builder.call b Types.i64 Intrinsics.lane_num [] in
   let p = Builder.gep b (Instr.Var 0) lane in
   Builder.store b (Instr.ci32 1) p;
   Builder.ret_void b;
-  let m = Func.create_module "t" in
-  Func.add_func m f;
-  let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
-  let a =
-    Pmachine.Memory.alloc_array mem Types.I32 (Array.make gang (Pmachine.Value.I 0L))
-  in
   (* gang 0 of a 5-thread region: only lanes 0..4 active *)
-  ignore
-    (Pmachine.Interp.run t "part"
-       [ Pmachine.Value.I (Int64.of_int a); Pmachine.Value.I 0L; Pmachine.Value.I 5L ]);
-  let out = Pmachine.Memory.read_array mem Types.I32 a gang in
-  Array.iteri
-    (fun i v ->
-      Alcotest.check valt (Fmt.str "lane %d" i)
-        (Pmachine.Value.I (if i < 5 then 1L else 0L))
-        v)
-    out
+  Alcotest.check outcome "lanes 0..4 store"
+    (Bufs [ lanes gang (fun i -> if i < 5 then 1 else 0) ])
+    (run_spmd f ~bufs:[ Array.make gang 0L ] ~tail:[ 0L; 5L ])
 
 let suites =
   [
@@ -382,5 +464,9 @@ let suites =
         Alcotest.test_case "shuffle exchange" `Quick test_spmd_shuffle;
         Alcotest.test_case "divergent sync detected" `Quick test_spmd_divergent_sync_detected;
         Alcotest.test_case "partial gang" `Quick test_spmd_partial_gang;
+        Alcotest.test_case "sync at different call sites" `Quick test_spmd_sync_sites_differ;
+        Alcotest.test_case "partial arrival" `Quick test_spmd_partial_arrival;
+        Alcotest.test_case "partial-gang shuffle" `Quick test_spmd_partial_shuffle;
+        Alcotest.test_case "partial-gang sad_u8" `Quick test_spmd_partial_sad;
       ] );
   ]

@@ -263,6 +263,53 @@ let test_figure5_byte_identical_under_tracing () =
   Alcotest.(check string)
     "figure5 table identical with tracing + remark counts on" baseline traced
 
+(* Four pool domains log 20,000 warnings at once through the reporter
+   [Logging.setup] installs: no call may raise, and stderr must hold
+   every message exactly once, each as one intact line. *)
+let test_logging_domain_safe () =
+  let n = 20_000 in
+  let src = Logs.Src.create "test.hammer" in
+  let file = Filename.temp_file "log-hammer" ".txt" in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  (* plain headers, whatever styling the test runner turned on *)
+  let style = Fmt.style_renderer Fmt.stderr in
+  Fmt.set_style_renderer Fmt.stderr `None;
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let raised =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Logs.set_reporter reporter;
+        Logs.set_level level;
+        Fmt.set_style_renderer Fmt.stderr style)
+      (fun () ->
+        Pobs.Logging.setup ~level:(Some Logs.Warning) ();
+        Pparallel.Pool.with_pool 4 (fun p ->
+            Pparallel.Pool.map p
+              (fun i ->
+                match Logs.warn ~src (fun m -> m "hammer %d" i) with
+                | () -> 0
+                | exception _ -> 1)
+              (List.init n Fun.id))
+        |> List.fold_left ( + ) 0)
+  in
+  let lines = In_channel.with_open_bin file In_channel.input_all |> String.split_on_char '\n' in
+  Sys.remove file;
+  Alcotest.(check int) "no log call raised" 0 raised;
+  let expected =
+    let exe = Filename.basename Sys.argv.(0) in
+    List.init n (fun i -> Fmt.str "%s: [WARNING] hammer %d" exe i)
+  in
+  Alcotest.(check (list string)) "every message once, as one intact line"
+    (List.sort compare ("" :: expected))
+    (List.sort compare lines)
+
 let suites =
   [
     ( "obs",
@@ -283,5 +330,6 @@ let suites =
           test_profiler_matches_stats;
         Alcotest.test_case "figure5 byte-identical under tracing" `Slow
           test_figure5_byte_identical_under_tracing;
+        Alcotest.test_case "logging is domain-safe" `Quick test_logging_domain_safe;
       ] );
   ]

@@ -164,15 +164,23 @@ let test_lru_concurrent () =
      the interleaving *)
   let l : (int, int) Pharness.Lru.t = Pharness.Lru.create ~capacity:32 () in
   let lookups = 2000 in
-  Pparallel.Pool.with_pool 4 (fun p ->
-      ignore
-        (Pparallel.Pool.map p
-           (fun i ->
-             let k = if i mod 4 = 0 then 32 + (i mod 40) else i mod 8 in
-             match Pharness.Lru.find l k with
-             | Some v -> Alcotest.(check int) "stored value intact" k v
-             | None -> Pharness.Lru.add l k k)
-           (List.init lookups Fun.id)));
+  (* workers return what they found wrong; Alcotest checks run here, on
+     the main domain, because its printing is not domain-safe *)
+  let mismatches =
+    Pparallel.Pool.with_pool 4 (fun p ->
+        Pparallel.Pool.map p
+          (fun i ->
+            let k = if i mod 4 = 0 then 32 + (i mod 40) else i mod 8 in
+            match Pharness.Lru.find l k with
+            | Some v when v <> k -> [ (k, v) ]
+            | Some _ -> []
+            | None ->
+                Pharness.Lru.add l k k;
+                [])
+          (List.init lookups Fun.id))
+  in
+  Alcotest.(check (list (pair int int))) "stored values intact" []
+    (List.concat mismatches);
   let s = Pharness.Lru.stats l in
   Alcotest.(check int) "every lookup accounted" lookups
     (s.Pharness.Lru.hits + s.Pharness.Lru.misses);
@@ -197,22 +205,10 @@ let test_cache_key_sensitivity () =
   distinct "options change key"
     (base ~opts:{ Parsimony.Options.default with boscc = true } ());
   distinct "math lib changes key" (base ~opts:Parsimony.Options.ispc ());
-  distinct "strategy changes key"
-    (base
-       ~opts:
-         {
-           Parsimony.Options.default with
-           strategy = Parsimony.Options.SlpOptimal;
-         }
-       ());
-  distinct "slp pairing mode changes key"
-    (base
-       ~opts:
-         {
-           Parsimony.Options.default with
-           strategy = Parsimony.Options.SlpGreedy;
-         }
-       ());
+  let strategy strategy = { Parsimony.Options.default with strategy } in
+  Alcotest.(check bool) "strategy changes key" true
+    (base ~opts:(strategy Parsimony.Options.Parsimony) ()
+    <> base ~opts:(strategy Parsimony.Options.SlpOptimal) ());
   Alcotest.(check bool) "default opts equal default key" true
     (base ~opts:Parsimony.Options.default () = k0);
   distinct "cost model changes key" (base ~model_id:"sim-512bit-deadbeef" ());
@@ -342,6 +338,53 @@ let test_serve_protocol () =
       let r4 = Result.get_ok (Pharness.Loadgen.rpc c (slp_req 10)) in
       Alcotest.(check bool) "repeated slp request hits its own entry" true
         (member_bool r4 "cached");
+      (* the retired greedy pairing mode is an unknown strategy *)
+      let r =
+        Result.get_ok
+          (Pharness.Loadgen.rpc c
+             (Pobs.Json.Obj
+                [
+                  ("id", Pobs.Json.Int 11);
+                  ("verb", Pobs.Json.Str "compile");
+                  ("kernel", Pobs.Json.Str "gray_to_bgra");
+                  ("options", Pobs.Json.Obj [ ("strategy", Pobs.Json.Str "slp-greedy") ]);
+                ]))
+      in
+      Alcotest.(check bool) "slp-greedy rejected" false (member_bool r "ok");
+      Alcotest.(check bool) "unknown-strategy error" true
+        (Pobs.Json.member "error" r
+        = Some (Pobs.Json.Str "options.strategy: unknown strategy \"slp-greedy\""));
+      (* an SLP report carries the SLP packer's scorecards, the same
+         cards its own reports give for the same compile *)
+      let r =
+        Result.get_ok
+          (Pharness.Loadgen.rpc c
+             (Pobs.Json.Obj
+                [
+                  ("id", Pobs.Json.Int 12);
+                  ("verb", Pobs.Json.Str "report");
+                  ("kernel", Pobs.Json.Str "gray_to_bgra");
+                  ("options", Pobs.Json.Obj [ ("strategy", Pobs.Json.Str "slp") ]);
+                ]))
+      in
+      let expected =
+        let k = Option.get (Psimdlib.Registry.find "gray_to_bgra") in
+        let m = Pfrontend.Lower.compile ~name:k.kname k.serial_src in
+        Panalysis.Check.check_module m;
+        let reports = Parsimony.Slp.run_module m in
+        Panalysis.Check.check_module m;
+        Parsimony.Simplify.run_module m;
+        Parsimony.Scorecard.of_module_slp ~reports m
+      in
+      Alcotest.(check int) "gray_to_bgra has one slp card" 1 (List.length expected);
+      Alcotest.(check bool) "slp report equals the slp scorecards" true
+        (Pobs.Json.member "result" r
+        = Some
+            (Pobs.Json.Obj
+               [
+                 ( "scorecards",
+                   Pobs.Json.Arr (List.map Parsimony.Scorecard.to_json expected) );
+               ]));
       (* exec runs the kernel and reports simulated cycles *)
       let r =
         Result.get_ok
@@ -395,8 +438,9 @@ let test_serve_protocol () =
       Alcotest.(check bool) "shutdown acknowledged" true (member_bool r "ok"));
   let summary = Domain.join srv in
   (* the malformed and oversized frames are protocol errors, not
-     requests; only the unknown verb and the missing source count *)
-  Alcotest.(check int) "only the deliberate failures errored" 2
+     requests; only the unknown verb, the missing source and the
+     unknown strategy count *)
+  Alcotest.(check int) "only the deliberate failures errored" 3
     summary.Pharness.Serve.s_errors;
   Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket)
 
