@@ -318,28 +318,86 @@ let autovec_cmd =
     (Cmd.info "autovec" ~doc:"Run the loop auto-vectorizer baseline; report per-loop outcomes")
     Term.(const run $ obs_term $ file_arg)
 
-(* shared by run/exec and profile: parse CLI args, execute, print result *)
+(* A simulator argument: an integer, a number containing '.', or iN
+   (an N-element i32 buffer initialised 0..N-1, passed by address). *)
+type sim_arg = Int of int64 | Float of float | Buffer of int
+
+let sim_arg_conv =
+  let parse a =
+    let v =
+      if String.length a > 1 && a.[0] = 'i' then
+        match int_of_string_opt (String.sub a 1 (String.length a - 1)) with
+        | Some n when n >= 0 -> Some (Buffer n)
+        | _ -> None
+      else if String.contains a '.' then
+        Option.map (fun f -> Float f) (float_of_string_opt a)
+      else Option.map (fun i -> Int i) (Int64.of_string_opt a)
+    in
+    Option.to_result v
+      ~none:
+        (`Msg
+          (Fmt.str
+             "invalid argument %S: expected an integer, a number containing \
+              '.', or iN with N >= 0"
+             a))
+  in
+  let print ppf = function
+    | Int i -> Fmt.pf ppf "%Ld" i
+    | Float f -> Fmt.pf ppf "%F" f
+    | Buffer n -> Fmt.pf ppf "i%d" n
+  in
+  Arg.conv (parse, print)
+
+(* a run that cannot proceed: report it like a compiler diagnostic *)
+let sim_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "psimc: error: %s@." msg;
+      exit 1)
+    fmt
+
+(* shared by run/exec and profile: execute, print result *)
 let execute_on_simulator ?(profile = false) obs opts file entry scalar args
     ~engine k =
   with_obs obs (fun () ->
       let m, _ = compile_source ~vectorize:(not scalar) obs opts file in
+      let params =
+        match Pir.Func.find_func_opt m entry with
+        | Some f -> List.map snd f.Pir.Func.params
+        | None -> sim_error "no function %s in %s" entry file
+      in
+      if List.length params <> List.length args then
+        sim_error "%s takes %d argument(s), got %d" entry (List.length params)
+          (List.length args);
+      List.iteri
+        (fun i (ty, a) ->
+          let fits =
+            match (ty, a) with
+            | Pir.Types.Scalar s, Float _ -> Pir.Types.is_float_scalar s
+            | Pir.Types.Scalar s, (Int _ | Buffer _) ->
+                not (Pir.Types.is_float_scalar s)
+            | Pir.Types.Ptr _, (Int _ | Buffer _) -> true
+            | _ -> false
+          in
+          if not fits then
+            sim_error "argument %d of %s has type %a, got %a" (i + 1) entry
+              Pir.Types.pp ty (Arg.conv_printer sim_arg_conv) a)
+        (List.combine params args);
       let t = Pmachine.Engine.create ~kind:engine ~profile m in
       let mem = Pmachine.Engine.mem t in
       let buffers = ref [] in
-      let parse_arg a =
-        if String.length a > 1 && a.[0] = 'i' then begin
-          let n = int_of_string (String.sub a 1 (String.length a - 1)) in
-          let addr =
-            Pmachine.Memory.alloc_array mem Pir.Types.I32
-              (Array.init n (fun i -> Pmachine.Value.I (Int64.of_int i)))
-          in
-          buffers := (addr, n) :: !buffers;
-          Pmachine.Value.I (Int64.of_int addr)
-        end
-        else if String.contains a '.' then Pmachine.Value.F (float_of_string a)
-        else Pmachine.Value.I (Int64.of_string a)
+      let value = function
+        | Int i -> Pmachine.Value.I i
+        | Float f -> Pmachine.Value.F f
+        | Buffer n ->
+            let addr =
+              Pmachine.Memory.alloc_array mem Pir.Types.I32
+                (Array.init n (fun i -> Pmachine.Value.I (Int64.of_int i)))
+            in
+            buffers := (addr, n) :: !buffers;
+            Pmachine.Value.I (Int64.of_int addr)
       in
-      let vargs = List.map parse_arg args in
+      let vargs = List.map value args in
       let result =
         Pobs.Trace.with_span ~cat:"machine"
           ~args:
@@ -348,7 +406,10 @@ let execute_on_simulator ?(profile = false) obs opts file entry scalar args
               ("engine", Pmachine.Engine.kind_to_string (Pmachine.Engine.kind t));
             ]
           "execute"
-          (fun () -> Pmachine.Engine.run t entry vargs)
+          (fun () ->
+            try Pmachine.Engine.run t entry vargs with
+            | Pmachine.Interp.Trap msg -> sim_error "trap: %s" msg
+            | Pmachine.Memory.Fault msg -> sim_error "memory fault: %s" msg)
       in
       let stats = Pmachine.Engine.stats t in
       Fmt.pr "engine: %s@."
@@ -394,12 +455,15 @@ let engine_arg =
 
 let sim_args =
   Arg.(
-    value & pos_right 0 string []
+    value & pos_right 0 sim_arg_conv []
     & info [] ~docv:"ARGS"
         ~doc:
-          "Arguments: integers/floats passed directly; 'iN' allocates an \
-           N-element i32 buffer initialized 0..N-1 and passes its address \
-           (printed back after the run)")
+          "Arguments, one per parameter of the entry function: integers \
+           and numbers containing '.' (floats) are passed directly; 'iN' \
+           allocates an N-element i32 buffer initialized 0..N-1 and passes \
+           its address (printed back after the run).  Any other argument is \
+           a usage error; a trap, a memory fault or an argument that does \
+           not fit its parameter is reported as an error with exit status 1.")
 
 let run_term =
   let run obs opts file entry scalar engine args =

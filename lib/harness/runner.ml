@@ -9,7 +9,7 @@ type impl =
   | Autovec  (** serial source through the loop auto-vectorizer *)
   | SlpImpl of Parsimony.Options.t
       (** serial source through the SLP packer (globally-optimized
-          pairing unless the options say greedy) *)
+          pairing) *)
   | ParsimonyImpl of Parsimony.Options.t  (** psim source through the pass *)
   | Hand  (** hand-written vector IR (intrinsics stand-in) *)
 

@@ -296,17 +296,12 @@ let[@inline] sext_nat w x =
   let x = x land mask_nat w in
   if x land (1 lsl (w - 1)) <> 0 then x - (1 lsl w) else x
 
-(* Interning table for small lane values: the [int64 array] lane
-   representation boxes every element, so vector traffic on masks,
-   bytes and counters would allocate a fresh block per lane per
-   instruction.  Lane values below 2^16 (canonical [i1]/[i8]/[i16]
-   lanes always, [i32] lanes usually) share these preallocated boxes
-   instead.  [int64] blocks are immutable and compared structurally,
-   so the sharing is unobservable. *)
-let small64 : int64 array = Array.init 65536 Int64.of_int
-
+(* Lane values below 2^16 (canonical [i1]/[i8]/[i16] lanes always,
+   [i32] lanes usually) share the preallocated boxes of
+   [Value.small64]: the [int64 array] lane representation would
+   otherwise allocate a fresh block per lane per instruction. *)
 let[@inline] box64 (v : int) : int64 =
-  if v >= 0 && v < 65536 then Array.unsafe_get small64 v else Int64.of_int v
+  if v >= 0 && v < 65536 then Array.unsafe_get Value.small64 v else Int64.of_int v
 
 let ibin_nat (k : ibin) w a b : int =
   let m = mask_nat w in

@@ -2,29 +2,47 @@
 
     Address 0 is kept unmapped so it can serve as a null pointer.  All
     accesses are bounds-checked; an out-of-bounds access raises [Fault],
-    which differential tests rely on to catch miscompiled masks. *)
+    which differential tests rely on to catch miscompiled masks.
+
+    The memory has an architectural size (1 MiB unless [create] is told
+    otherwise, doubled by [alloc] when the break passes it), and that
+    size alone decides which accesses fault.  The bytes behind it are
+    materialised lazily: [data] holds a zero-initialised prefix of the
+    memory that starts empty and doubles whenever [alloc] or an access
+    reaches past it, so a run pays only for the bytes it allocates or
+    touches.  Bytes past [data] read as zero, exactly as they would if
+    they had been materialised. *)
 
 exception Fault of string
 
-type t = { mutable data : Bytes.t; mutable brk : int }
+type t = {
+  mutable data : Bytes.t;  (** materialised prefix; zero past it *)
+  mutable limit : int;  (** architectural size: the fault boundary *)
+  mutable brk : int;
+}
 
-let create ?(size = 1 lsl 20) () = { data = Bytes.make size '\000'; brk = 64 }
+let create ?(size = 1 lsl 20) () = { data = Bytes.empty; limit = size; brk = 64 }
 
-let size t = Bytes.length t.data
+(** Number of materialised bytes. *)
+let resident t = Bytes.length t.data
 
-let ensure t cap =
-  if cap > Bytes.length t.data then begin
-    let n = max cap (2 * Bytes.length t.data) in
-    let data = Bytes.make n '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+(* Zero-extend [data] to at least [upto] bytes (doubling, capped at the
+   architectural size). *)
+let materialise t upto =
+  let n = Bytes.length t.data in
+  if upto > n then begin
+    let data = Bytes.extend t.data 0 (min t.limit (max upto (2 * n)) - n) in
+    Bytes.fill data n (Bytes.length data - n) '\000';
     t.data <- data
   end
 
 (** Allocate [bytes] bytes, 64-byte aligned; returns the address. *)
 let alloc t bytes =
   let addr = (t.brk + 63) / 64 * 64 in
-  ensure t (addr + bytes);
-  t.brk <- addr + bytes;
+  let brk = addr + bytes in
+  if brk > t.limit then t.limit <- max brk (2 * t.limit);
+  materialise t brk;
+  t.brk <- brk;
   addr
 
 (** Current allocation mark; [release] rolls back to it (used for
@@ -32,19 +50,25 @@ let alloc t bytes =
 let mark t = t.brk
 let release t m = t.brk <- m
 
-let check t addr len what =
-  if addr < 64 || addr + len > Bytes.length t.data then
-    raise (Fault (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr))
+(* The cold half of [check]: fault outside the architectural size,
+   otherwise materialise through the access. *)
+let[@inline never] reach t addr len what =
+  if addr < 64 || addr + len > t.limit then
+    raise (Fault (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr));
+  materialise t (addr + len)
+
+let[@inline] check t addr len what =
+  if addr < 64 || addr + len > Bytes.length t.data then reach t addr len what
 
 let load_scalar t (s : Pir.Types.scalar) addr : Value.t =
   let len = Pir.Types.scalar_bytes s in
   check t addr len "load";
   match s with
-  | I1 -> Value.I (if Bytes.get_uint8 t.data addr <> 0 then 1L else 0L)
-  | I8 -> Value.I (Int64.of_int (Bytes.get_uint8 t.data addr))
-  | I16 -> Value.I (Int64.of_int (Bytes.get_uint16_le t.data addr))
-  | I32 -> Value.I (Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.data addr)) 0xFFFFFFFFL)
-  | I64 -> Value.I (Bytes.get_int64_le t.data addr)
+  | I1 -> Value.of_nat (if Bytes.get_uint8 t.data addr <> 0 then 1 else 0)
+  | I8 -> Value.of_nat (Bytes.get_uint8 t.data addr)
+  | I16 -> Value.of_nat (Bytes.get_uint16_le t.data addr)
+  | I32 -> Value.of_nat (Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFF_FFFF)
+  | I64 -> Value.of_int64 (Bytes.get_int64_le t.data addr)
   | F32 -> Value.F (Int32.float_of_bits (Bytes.get_int32_le t.data addr))
   | F64 -> Value.F (Int64.float_of_bits (Bytes.get_int64_le t.data addr))
 
@@ -173,4 +197,7 @@ let read_array t (s : Pir.Types.scalar) addr n =
   Array.init n (fun i -> load_scalar t s (addr + (i * esz)))
 
 (** Snapshot of the allocated region, for state comparison in tests. *)
-let snapshot t = Bytes.sub t.data 0 t.brk
+let snapshot t =
+  let s = Bytes.make t.brk '\000' in
+  Bytes.blit t.data 0 s 0 (min t.brk (Bytes.length t.data));
+  s

@@ -67,6 +67,41 @@ let set_lane v i x =
       VF a
   | _ -> Fmt.invalid_arg "Value.set_lane: %a <- %a" pp v pp x
 
+(* Interning tables for small integers.  Integer values are immutable
+   and compared structurally, so sharing one preallocated box per value
+   below 2^16 is unobservable.  It keeps the paths that box integers
+   off the minor heap: the VM's [int64 array] vector lanes ([small64])
+   and memory loads that return a [Value.t] ([of_nat], [of_int64]);
+   canonical [i1]/[i8]/[i16] values always hit, [i32]/[i64] values
+   usually do.
+
+   [small64] is built at module initialisation.  The [I] cells around
+   its boxes are made on first use instead: building all 65 536 of
+   them up front costs about 4 ms of every process start, more than a
+   quarter of the start-up of a process that never runs the machine.
+   A slot is filled by a plain store, so two domains racing on one
+   slot each get a correct cell and the last store wins; unlike
+   [Lazy.force], neither can fail. *)
+let small64 : int64 array = Array.init 65536 Int64.of_int
+
+let small_cells : t array = Array.make 65536 Unit
+
+let[@inline never] intern v =
+  let c = I small64.(v) in
+  small_cells.(v) <- c;
+  c
+
+(** [I (Int64.of_int v)], shared when [0 <= v < 2^16]. *)
+let[@inline] of_nat v =
+  if v >= 0 && v < 65536 then
+    let c = Array.unsafe_get small_cells v in
+    if c != Unit then c else intern v
+  else I (Int64.of_int v)
+
+(** [I v], shared when [0 <= v < 2^16]. *)
+let[@inline] of_int64 v =
+  if v >= 0L && v < 65536L then of_nat (Int64.to_int v) else I v
+
 (** Build a vector of element kind [s] from per-lane scalar values. *)
 let of_lanes (s : Pir.Types.scalar) xs =
   if Pir.Types.is_float_scalar s then VF (Array.map as_float xs)

@@ -40,6 +40,255 @@ let test_memory_frames () =
   let a2 = Pmachine.Memory.alloc m 16 in
   Alcotest.(check int) "frame reuse" a1 a2
 
+(* The memory materialises its backing lazily; [Eager] is the model it
+   must be indistinguishable from: the whole architectural size held in
+   zeroed bytes from the start, grown by doubling when an allocation
+   passes it. *)
+module Eager = struct
+  type t = { mutable data : Bytes.t; mutable brk : int }
+
+  let create () = { data = Bytes.make (1 lsl 20) '\000'; brk = 64 }
+
+  let alloc t bytes =
+    let addr = (t.brk + 63) / 64 * 64 in
+    let n = Bytes.length t.data in
+    if addr + bytes > n then begin
+      let data = Bytes.make (max (addr + bytes) (2 * n)) '\000' in
+      Bytes.blit t.data 0 data 0 n;
+      t.data <- data
+    end;
+    t.brk <- addr + bytes;
+    addr
+
+  let check t addr len what =
+    if addr < 64 || addr + len > Bytes.length t.data then
+      raise
+        (Pmachine.Memory.Fault
+           (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr))
+
+  let load t (s : Types.scalar) addr : Pmachine.Value.t =
+    check t addr (Types.scalar_bytes s) "load";
+    let d = t.data in
+    match s with
+    | I1 -> I (if Bytes.get_uint8 d addr <> 0 then 1L else 0L)
+    | I8 -> I (Int64.of_int (Bytes.get_uint8 d addr))
+    | I16 -> I (Int64.of_int (Bytes.get_uint16_le d addr))
+    | I32 -> I (Int64.logand (Int64.of_int32 (Bytes.get_int32_le d addr)) 0xFFFFFFFFL)
+    | I64 -> I (Bytes.get_int64_le d addr)
+    | F32 -> F (Int32.float_of_bits (Bytes.get_int32_le d addr))
+    | F64 -> F (Int64.float_of_bits (Bytes.get_int64_le d addr))
+
+  let store t (s : Types.scalar) addr (v : Pmachine.Value.t) =
+    check t addr (Types.scalar_bytes s) "store";
+    let d = t.data in
+    match (s, v) with
+    | I1, I x -> Bytes.set_uint8 d addr (if x = 0L then 0 else 1)
+    | I8, I x -> Bytes.set_uint8 d addr (Int64.to_int x land 0xFF)
+    | I16, I x -> Bytes.set_uint16_le d addr (Int64.to_int x land 0xFFFF)
+    | I32, I x -> Bytes.set_int32_le d addr (Int64.to_int32 x)
+    | I64, I x -> Bytes.set_int64_le d addr x
+    | F32, F x -> Bytes.set_int32_le d addr (Int32.bits_of_float x)
+    | F64, F x -> Bytes.set_int64_le d addr (Int64.bits_of_float x)
+    | _ -> invalid_arg "Eager.store"
+
+  let snapshot t = Bytes.sub t.data 0 t.brk
+end
+
+(* Where an access lands, resolved against the state when it runs:
+   near null, the first mapped byte, the break, the materialised edge,
+   the last [len] bytes of the architectural size, the size itself and
+   past it. *)
+type anchor = Zero | First | Brk | Resident | Last | Size | Past
+
+type mem_op =
+  | Alloc of int
+  | Mark
+  | Release
+  | Load of Types.scalar * anchor * int
+  | Store of Types.scalar * anchor * int * int64
+
+let anchor_name = function
+  | Zero -> "0"
+  | First -> "64"
+  | Brk -> "brk"
+  | Resident -> "resident"
+  | Last -> "size-len"
+  | Size -> "size"
+  | Past -> "size+64"
+
+let pp_mem_op ppf = function
+  | Alloc n -> Fmt.pf ppf "alloc %d" n
+  | Mark -> Fmt.string ppf "mark"
+  | Release -> Fmt.string ppf "release"
+  | Load (s, a, off) ->
+      Fmt.pf ppf "load %a @@%s%+d" Types.pp (Types.Scalar s) (anchor_name a) off
+  | Store (s, a, off, x) ->
+      Fmt.pf ppf "store %a @@%s%+d %Ld" Types.pp (Types.Scalar s) (anchor_name a)
+        off x
+
+let scalars = Types.[ I1; I8; I16; I32; I64; F32; F64 ]
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let anchor = oneofl [ Zero; First; Brk; Resident; Last; Size; Past ] in
+  let access =
+    map3 (fun s a off -> (s, a, off)) (oneofl scalars) anchor (int_range (-9) 9)
+  in
+  frequency
+    [
+      (* mostly small blocks; a few big enough that two or three push the
+         size past 1 MiB *)
+      (4, map (fun n -> Alloc n) (int_bound 4096));
+      (1, map (fun n -> Alloc n) (int_range 200_000 700_000));
+      (1, return Mark);
+      (1, return Release);
+      (6, map (fun (s, a, off) -> Load (s, a, off)) access);
+      (6, map2 (fun (s, a, off) x -> Store (s, a, off, x)) access ui64);
+    ]
+
+let run_mem_ops ops =
+  let lazy_m = Pmachine.Memory.create () and eager = Eager.create () in
+  let marks = ref [] in
+  let addr s a off =
+    let len = Types.scalar_bytes s and size = Bytes.length eager.data in
+    off
+    + (match a with
+      | Zero -> 0
+      | First -> 64
+      | Brk -> eager.brk
+      | Resident -> Pmachine.Memory.resident lazy_m
+      | Last -> size - len
+      | Size -> size
+      | Past -> size + 64)
+  in
+  let value (s : Types.scalar) x : Pmachine.Value.t =
+    if Types.is_float_scalar s then F (Int64.float_of_bits x) else I x
+  in
+  let outcome f = match f () with v -> Ok v | exception Pmachine.Memory.Fault e -> Error e in
+  List.iter
+    (fun op ->
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "%a: %s differs" pp_mem_op op what
+      in
+      match op with
+      | Alloc n -> same "address" (Pmachine.Memory.alloc lazy_m n) (Eager.alloc eager n)
+      | Mark ->
+          let m = Pmachine.Memory.mark lazy_m in
+          same "mark" m eager.brk;
+          marks := m :: !marks
+      | Release -> (
+          match !marks with
+          | m :: rest ->
+              Pmachine.Memory.release lazy_m m;
+              eager.brk <- m;
+              marks := rest
+          | [] -> ())
+      | Load (s, a, off) -> (
+          let at = addr s a off in
+          match
+            (outcome (fun () -> Pmachine.Memory.load_scalar lazy_m s at),
+             outcome (fun () -> Eager.load eager s at))
+          with
+          | Ok x, Ok y when Pmachine.Value.equal x y -> ()
+          | Error x, Error y when x = y -> ()
+          | _ -> QCheck.Test.fail_reportf "%a at %d: results differ" pp_mem_op op at)
+      | Store (s, a, off, x) ->
+          let at = addr s a off and v = value s x in
+          same "store outcome"
+            (outcome (fun () -> Pmachine.Memory.store_scalar lazy_m s at v))
+            (outcome (fun () -> Eager.store eager s at v)))
+    ops;
+  Bytes.equal (Pmachine.Memory.snapshot lazy_m) (Eager.snapshot eager)
+
+let prop_memory_matches_eager =
+  QCheck.Test.make ~name:"lazy memory matches the eager model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_mem_op) ops)
+       QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+    run_mem_ops
+
+let test_memory_boundaries () =
+  let m = Pmachine.Memory.create () in
+  Alcotest.(check int) "fresh memory materialises nothing" 0
+    (Pmachine.Memory.resident m);
+  Alcotest.check valt "a load ending at 1 MiB reads 0" (Pmachine.Value.I 0L)
+    (Pmachine.Memory.load_scalar m Types.I32 ((1 lsl 20) - 4));
+  Alcotest.check_raises "one byte further faults"
+    (Pmachine.Memory.Fault "load of 4 bytes at address 1048573 out of bounds")
+    (fun () -> ignore (Pmachine.Memory.load_scalar m Types.I32 ((1 lsl 20) - 3)))
+
+(* an engine and its buffers pay for what they allocate, not for the
+   1 MiB the memory may grow to *)
+let test_memory_resident_saxpy () =
+  let src =
+    "void saxpy(float32* x, float32* y, float32 a, int64 n) {\n\
+    \  psim gang_size(16) num_spmd_threads(n) {\n\
+    \    int64 i = psim_thread_num();\n\
+    \    y[i] = a * x[i] + y[i];\n\
+    \  }\n\
+     }\n"
+  in
+  let m, _ = Pharness.Pipeline.compile ~name:"saxpy" src in
+  let t = Pmachine.Engine.create m in
+  let mem = Pmachine.Engine.mem t in
+  let n = 1000 in
+  let buf k =
+    let a = Pmachine.Memory.alloc mem (4 * n) in
+    for i = 0 to n - 1 do
+      Pmachine.Memory.store_scalar mem Types.F32 (a + (4 * i))
+        (Pmachine.Value.F (float_of_int (k * i)))
+    done;
+    a
+  in
+  let within_twice_break when_ =
+    let brk = Pmachine.Memory.mark mem and resident = Pmachine.Memory.resident mem in
+    Alcotest.(check bool)
+      (Fmt.str "%s: resident %d <= 2 * break %d" when_ resident brk)
+      true
+      (resident <= 2 * brk)
+  in
+  let x = buf 1 and y = buf 2 in
+  within_twice_break "buffers";
+  ignore
+    (Pmachine.Engine.run t "saxpy"
+       Pmachine.Value.[ I (Int64.of_int x); I (Int64.of_int y); F 3.0; I (Int64.of_int n) ]);
+  Alcotest.check valt "y[7] = 3 * 7 + 14" (Pmachine.Value.F 35.0)
+    (Pmachine.Memory.load_scalar mem Types.F32 (y + 28));
+  within_twice_break "run"
+
+(* Integer loads below 2^16 share [Pmachine.Value]'s cells; the table
+   lives there alone ([Bc.box64] reads it too). *)
+let test_memory_shared_cells () =
+  let m = Pmachine.Memory.create () in
+  let a = Pmachine.Memory.alloc m 64 in
+  List.iter
+    (fun (s, x) ->
+      Pmachine.Memory.store_scalar m s a (Pmachine.Value.I x);
+      let v = Pmachine.Memory.load_scalar m s a in
+      let what = Fmt.str "%a %Ld" Types.pp (Types.Scalar s) x in
+      Alcotest.check valt what (Pmachine.Value.I x) v;
+      Alcotest.(check bool) (what ^ " is shared") true
+        (v == Pmachine.Memory.load_scalar m s a))
+    Types.
+      [
+        (I1, 1L); (I8, 0L); (I8, 255L); (I16, 0xBEEFL); (I16, 65535L);
+        (I32, 7L); (I32, 65535L); (I64, 0L); (I64, 42L); (I64, 65535L);
+      ];
+  List.iter
+    (fun (s, x) ->
+      Pmachine.Memory.store_scalar m s a (Pmachine.Value.I x);
+      Alcotest.check valt
+        (Fmt.str "%a %Ld loads exactly" Types.pp (Types.Scalar s) x)
+        (Pmachine.Value.I x)
+        (Pmachine.Memory.load_scalar m s a))
+    Types.
+      [
+        (I32, 65536L); (I32, 0xFFFF_FFFFL); (I64, 65536L); (I64, 0xFFFF_FFFFL);
+        (I64, Int64.min_int); (I64, -1L);
+      ];
+  Alcotest.(check bool) "box64 reads Value.small64" true
+    (Pmachine.Bc.box64 1234 == Pmachine.Value.small64.(1234))
+
 (* -- Interpreter on straight-line and branchy code -- *)
 
 let run_fn f args =
@@ -447,6 +696,11 @@ let suites =
         Alcotest.test_case "read/write" `Quick test_memory_rw;
         Alcotest.test_case "faults" `Quick test_memory_fault;
         Alcotest.test_case "frames" `Quick test_memory_frames;
+        Alcotest.test_case "boundaries of the lazy backing" `Quick test_memory_boundaries;
+        Alcotest.test_case "saxpy materialises what it allocates" `Quick
+          test_memory_resident_saxpy;
+        Alcotest.test_case "shared integer cells" `Quick test_memory_shared_cells;
+        QCheck_alcotest.to_alcotest prop_memory_matches_eager;
       ] );
     ( "machine.interp",
       [
