@@ -7,6 +7,7 @@ type t = {
   succs : (string, string list) Hashtbl.t;
   preds : (string, string list) Hashtbl.t;
   rpo : string list;  (** reverse postorder over reachable blocks *)
+  reached : (string, unit) Hashtbl.t;  (** the blocks in [rpo] *)
 }
 
 let block t name = Hashtbl.find t.blocks name
@@ -40,9 +41,9 @@ let build (f : Pir.Func.t) : t =
     end
   in
   (match f.blocks with [] -> () | b :: _ -> dfs b.bname);
-  { func = f; blocks; succs; preds; rpo = !po }
+  { func = f; blocks; succs; preds; rpo = !po; reached = visited }
 
-let reachable t name = List.mem name t.rpo
+let reachable t name = Hashtbl.mem t.reached name
 
 (** Index of each block in reverse postorder (smaller = earlier). *)
 let rpo_index t =

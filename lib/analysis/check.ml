@@ -1,6 +1,7 @@
 (** Dominance-based SSA validity: every use must be dominated by its
-    definition.  Complements [Pir.Verifier], which performs the purely
-    local checks. *)
+    definition, and a phi's incoming value must dominate the end of its
+    predecessor.  This is the only home of that rule; [Pir.Verifier]
+    performs the local checks and reachability. *)
 
 type def_site = Param | At of string * int  (* block, instruction index *)
 
@@ -46,7 +47,9 @@ let verify_ssa (f : Pir.Func.t) : (unit, string list) result =
                   (fun (l, v) ->
                     match v with
                     | Pir.Instr.Var v when not (dominates_block_end v l) ->
-                        err "%s/%s: phi %%%d incoming %%%d from %s not dominated"
+                        err
+                          "%s/%s: phi %%%d incoming %%%d does not dominate the \
+                           end of pred %s"
                           f.fname b.bname i.id v l
                     | _ -> ())
                   incoming

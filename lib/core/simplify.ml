@@ -12,9 +12,18 @@
 
 open Pir
 
-(* value-numbering key: the operation with its operands; loads also carry
-   the memory epoch so stores/calls invalidate them *)
-type key = { op_repr : string; epoch : int }
+(* value-numbering key: the operation with its operands and result type;
+   loads also carry the memory epoch so stores/calls invalidate them.
+   Float constants enter the key as their bit pattern, an integer
+   constant of the float's kind (the IR never holds one otherwise):
+   structural comparison would merge -0.0 with 0.0. *)
+type key = { op : Instr.op; ty : Types.t; epoch : int }
+
+let float_bits (o : Instr.operand) =
+  match o with
+  | Instr.Const (Instr.Cfloat (s, x)) ->
+      Instr.Const (Instr.Cint (s, Int64.bits_of_float x))
+  | _ -> o
 
 let pure (i : Instr.instr) =
   match i.op with
@@ -38,7 +47,7 @@ let barrier (i : Instr.instr) =
        || Intrinsics.is_psim n)
   | _ -> false
 
-let cse_block (f : Func.t) (blk : Func.block) (rewrites : (int, Instr.operand) Hashtbl.t) =
+let cse_block (blk : Func.block) (rewrites : (int, Instr.operand) Hashtbl.t) =
   let table : (key, Instr.operand) Hashtbl.t = Hashtbl.create 64 in
   let epoch = ref 0 in
   let rewrite_operand (o : Instr.operand) =
@@ -55,7 +64,8 @@ let cse_block (f : Func.t) (blk : Func.block) (rewrites : (int, Instr.operand) H
       if pure i then begin
         let k =
           {
-            op_repr = Fmt.str "%a|%a" Printer.pp_op op Types.pp i.ty;
+            op = Instr.map_operands float_bits op;
+            ty = i.ty;
             epoch = (if is_load i then !epoch else -1);
           }
         in
@@ -71,8 +81,7 @@ let cse_block (f : Func.t) (blk : Func.block) (rewrites : (int, Instr.operand) H
       end)
     blk.instrs;
   blk.instrs <- List.rev !out;
-  blk.term <- Instr.map_term_operands rewrite_operand blk.term;
-  ignore f
+  blk.term <- Instr.map_term_operands rewrite_operand blk.term
 
 (* rewrite phi operands too (they may reference CSE'd values from
    predecessor blocks) *)
@@ -94,40 +103,41 @@ let apply_rewrites (f : Func.t) (rewrites : (int, Instr.operand) Hashtbl.t) =
       b.term <- Instr.map_term_operands resolve b.term)
     f.blocks
 
-(* -- dead code elimination -- *)
+(* -- dead code elimination: one worklist pass from the roots, the
+   operands of every non-pure instruction and of every terminator -- *)
 
 let dce (f : Func.t) =
+  let defs : (int, Instr.instr) Hashtbl.t = Hashtbl.create 64 in
   let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Func.block) ->
-        List.iter
-          (fun (i : Instr.instr) ->
-            let root =
-              (not (pure i)) || Hashtbl.mem live i.id
-            in
-            if root then
-              List.iter
-                (fun u ->
-                  if not (Hashtbl.mem live u) then begin
-                    Hashtbl.replace live u ();
-                    changed := true
-                  end)
-                (Instr.uses_of_op i.op))
-          b.instrs;
-        List.iter
-          (function
-            | Instr.Var v ->
-                if not (Hashtbl.mem live v) then begin
-                  Hashtbl.replace live v ();
-                  changed := true
-                end
-            | _ -> ())
-          (Instr.operands_of_term b.term))
-      f.blocks
-  done;
+  let work = ref [] in
+  let mark v =
+    if not (Hashtbl.mem live v) then begin
+      Hashtbl.replace live v ();
+      work := v :: !work
+    end
+  in
+  List.iter
+    (fun (b : Func.block) ->
+      List.iter
+        (fun (i : Instr.instr) ->
+          if pure i then Hashtbl.replace defs i.id i
+          else List.iter mark (Instr.uses_of_op i.op))
+        b.instrs;
+      List.iter
+        (function Instr.Var v -> mark v | Instr.Const _ -> ())
+        (Instr.operands_of_term b.term))
+    f.blocks;
+  let rec drain () =
+    match !work with
+    | [] -> ()
+    | v :: rest ->
+        work := rest;
+        Option.iter
+          (fun (i : Instr.instr) -> List.iter mark (Instr.uses_of_op i.op))
+          (Hashtbl.find_opt defs v);
+        drain ()
+  in
+  drain ();
   List.iter
     (fun (b : Func.block) ->
       b.instrs <-
@@ -148,65 +158,51 @@ let dce (f : Func.t) =
    any load or unanalyzable access flushes the window. *)
 
 let coalesce_stores_block (f : Func.t) (blk : Func.block) =
-  let const_of (o : Instr.operand) = Instr.const_int_value o in
+  (* the block's address computations so far: gep id -> (base, index) *)
+  let geps : (int, Instr.operand * Instr.operand) Hashtbl.t = Hashtbl.create 8 in
   let key_of (i : Instr.instr) =
     match i.op with
-    | Instr.VStore (v, p, Some m) -> (
-        let base_off =
-          match p with
-          | Instr.Var pv -> (
-              match
-                List.find_opt (fun (j : Instr.instr) -> j.id = pv) blk.instrs
-              with
-              | Some { op = Instr.Gep (base, idx); _ } -> (
-                  match const_of idx with
-                  | Some c -> Some (Fmt.str "%a" Printer.pp_operand base, c)
-                  | None -> None)
-              | _ -> Some (Fmt.str "%a" Printer.pp_operand p, 0L))
-          | _ -> None
-        in
-        match base_off with Some (b, c) -> Some (b, c, v, p, m) | None -> None)
+    | Instr.VStore (_, (Instr.Var pv as p), Some _) -> (
+        match Hashtbl.find_opt geps pv with
+        | Some (base, idx) ->
+            Option.map (fun c -> (base, c)) (Instr.const_int_value idx)
+        | None -> Some (p, 0L))
     | _ -> None
   in
-  (* pending.(key) = id of the previous mergeable store *)
-  let pending : (string * int64, int) Hashtbl.t = Hashtbl.create 8 in
+  (* pending.(key) = the previous mergeable store *)
+  let pending : (Instr.operand * int64, Instr.instr) Hashtbl.t = Hashtbl.create 8 in
   let removed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let find_instr id =
-    List.find (fun (j : Instr.instr) -> j.id = id) blk.instrs
-  in
   let out = ref [] in
   List.iter
     (fun (i : Instr.instr) ->
-      match key_of i with
-      | Some (bk, off, v2, p, m2) -> (
-          match Hashtbl.find_opt pending (bk, off) with
-          | Some prev_id when not (Hashtbl.mem removed prev_id) -> (
-              match (find_instr prev_id).op with
-              | Instr.VStore (v1, _, Some m1) ->
-                  Hashtbl.replace removed prev_id ();
-                  (* merged value: lanes of the later store win *)
-                  let vty = Func.ty_of_operand f v2 in
-                  let mty = Func.ty_of_operand f m2 in
-                  let sel = Func.fresh_id f in
-                  Func.set_ty f sel vty;
-                  let orm = Func.fresh_id f in
-                  Func.set_ty f orm mty;
-                  out :=
-                    { Instr.id = Func.fresh_id f; ty = Types.Void;
-                      op = Instr.VStore (Instr.Var sel, p, Some (Instr.Var orm)) }
-                    :: { Instr.id = orm; ty = mty; op = Instr.Ibin (Instr.Or, m1, m2) }
-                    :: { Instr.id = sel; ty = vty; op = Instr.Select (m2, v2, v1) }
-                    :: !out;
-                  Hashtbl.replace pending (bk, off)
-                    (match !out with x :: _ -> x.Instr.id | [] -> assert false)
-              | _ ->
-                  out := i :: !out;
-                  Hashtbl.replace pending (bk, off) i.id)
+      match (key_of i, i.op) with
+      | Some key, Instr.VStore (v2, p, Some m2) -> (
+          match Hashtbl.find_opt pending key with
+          | Some { id = prev; op = Instr.VStore (v1, _, Some m1); _ } ->
+              Hashtbl.replace removed prev ();
+              (* merged value: lanes of the later store win *)
+              let vty = Func.ty_of_operand f v2 in
+              let mty = Func.ty_of_operand f m2 in
+              let sel = Func.fresh_id f in
+              Func.set_ty f sel vty;
+              let orm = Func.fresh_id f in
+              Func.set_ty f orm mty;
+              let merged =
+                { Instr.id = Func.fresh_id f; ty = Types.Void;
+                  op = Instr.VStore (Instr.Var sel, p, Some (Instr.Var orm)) }
+              in
+              out :=
+                merged
+                :: { Instr.id = orm; ty = mty; op = Instr.Ibin (Instr.Or, m1, m2) }
+                :: { Instr.id = sel; ty = vty; op = Instr.Select (m2, v2, v1) }
+                :: !out;
+              Hashtbl.replace pending key merged
           | _ ->
               out := i :: !out;
-              Hashtbl.replace pending (bk, off) i.id)
-      | None ->
+              Hashtbl.replace pending key i)
+      | _ ->
           (match i.op with
+          | Instr.Gep (base, idx) -> Hashtbl.replace geps i.id (base, idx)
           | Instr.Load _ | Instr.VLoad _ | Instr.Gather _ | Instr.Store _
           | Instr.Scatter _ | Instr.Call _ | Instr.VStore _ ->
               Hashtbl.reset pending
@@ -238,131 +234,103 @@ let fold_branches (f : Func.t) =
     f.blocks
 
 let prune_unreachable (f : Func.t) =
-  match f.blocks with
-  | [] -> ()
-  | entry :: _ ->
-      let reachable = Hashtbl.create 16 in
-      let rec dfs name =
-        if not (Hashtbl.mem reachable name) then begin
-          Hashtbl.replace reachable name ();
-          match List.find_opt (fun (b : Func.block) -> b.bname = name) f.blocks with
-          | Some b -> List.iter dfs (Func.successors b)
-          | None -> ()
-        end
-      in
-      dfs entry.bname;
-      f.blocks <-
-        List.filter (fun (b : Func.block) -> Hashtbl.mem reachable b.bname) f.blocks;
-      (* drop phi incomings from removed predecessors; a phi left with a
-         single incoming becomes a copy (rewritten by CSE on the next
-         pass; here we substitute directly) *)
-      let copies = Hashtbl.create 8 in
-      List.iter
-        (fun (b : Func.block) ->
-          let preds =
-            List.filter_map
-              (fun (p : Func.block) ->
-                if List.mem b.bname (Func.successors p) then Some p.bname else None)
-              f.blocks
-          in
-          b.instrs <-
-            List.filter_map
-              (fun (i : Instr.instr) ->
-                match i.op with
-                | Instr.Phi incoming -> (
-                    let incoming =
-                      List.filter (fun (l, _) -> List.mem l preds) incoming
-                    in
-                    match incoming with
-                    | [ (_, v) ] ->
-                        Hashtbl.replace copies i.id v;
-                        None
-                    | _ -> Some { i with op = Instr.Phi incoming })
-                | _ -> Some i)
-              b.instrs)
-        f.blocks;
-      if Hashtbl.length copies > 0 then begin
-        let rec resolve (o : Instr.operand) =
-          match o with
-          | Instr.Var v -> (
-              match Hashtbl.find_opt copies v with
-              | Some o' when o' <> o -> resolve o'
-              | Some o' -> o'
-              | None -> o)
-          | _ -> o
-        in
-        List.iter
-          (fun (b : Func.block) ->
-            b.instrs <-
-              List.map
-                (fun (i : Instr.instr) ->
-                  { i with op = Instr.map_operands resolve i.op })
-                b.instrs;
-            b.term <- Instr.map_term_operands resolve b.term)
-          f.blocks
-      end
-
-(* merge straight-line block chains: [A -> br B] where B's only
-   predecessor is A (no phis) folds B into A *)
-let merge_blocks (f : Func.t) =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let pred_count = Hashtbl.create 16 in
+  let cfg = Panalysis.Cfg.build f in
+  let reachable = Panalysis.Cfg.reachable cfg in
+  f.blocks <- List.filter (fun (b : Func.block) -> reachable b.bname) f.blocks;
+  (* drop phi incomings from removed predecessors; a phi left with a
+     single incoming becomes a copy (rewritten by CSE on the next
+     pass; here we substitute directly) *)
+  let copies = Hashtbl.create 8 in
+  List.iter
+    (fun (b : Func.block) ->
+      let preds = List.filter reachable (Panalysis.Cfg.preds cfg b.bname) in
+      b.instrs <-
+        List.filter_map
+          (fun (i : Instr.instr) ->
+            match i.op with
+            | Instr.Phi incoming -> (
+                let incoming =
+                  List.filter (fun (l, _) -> List.mem l preds) incoming
+                in
+                match incoming with
+                | [ (_, v) ] ->
+                    Hashtbl.replace copies i.id v;
+                    None
+                | _ -> Some { i with op = Instr.Phi incoming })
+            | _ -> Some i)
+          b.instrs)
+    f.blocks;
+  if Hashtbl.length copies > 0 then begin
+    let rec resolve (o : Instr.operand) =
+      match o with
+      | Instr.Var v -> (
+          match Hashtbl.find_opt copies v with
+          | Some o' when o' <> o -> resolve o'
+          | Some o' -> o'
+          | None -> o)
+      | _ -> o
+    in
     List.iter
       (fun (b : Func.block) ->
-        List.iter
-          (fun s ->
-            Hashtbl.replace pred_count s
-              (1 + Option.value ~default:0 (Hashtbl.find_opt pred_count s)))
-          (Func.successors b))
-      f.blocks;
-    let entry_name = (Func.entry f).bname in
-    (* merge at most one pair per round: predecessor counts go stale as
-       soon as a merge happens *)
-    let merged_this_round = ref false in
-    List.iter
-      (fun (a : Func.block) ->
-        if not !merged_this_round then
-          match a.term with
-          | Instr.Br bn when bn <> entry_name && bn <> a.bname -> (
-              match List.find_opt (fun (b : Func.block) -> b.bname = bn) f.blocks with
-              | Some b
-                when Hashtbl.find_opt pred_count bn = Some 1
-                     && not
-                          (List.exists
-                             (fun (i : Instr.instr) ->
-                               match i.op with Instr.Phi _ -> true | _ -> false)
-                             b.instrs) ->
-                  a.instrs <- a.instrs @ b.instrs;
-                  a.term <- b.term;
-                  f.blocks <- List.filter (fun (x : Func.block) -> x != b) f.blocks;
-                  (* phis in b's successors refer to b by name: retarget *)
-                  List.iter
-                    (fun (s : Func.block) ->
-                      s.instrs <-
-                        List.map
-                          (fun (i : Instr.instr) ->
-                            match i.op with
-                            | Instr.Phi inc ->
-                                {
-                                  i with
-                                  op =
-                                    Instr.Phi
-                                      (List.map
-                                         (fun (l, v) ->
-                                           ((if l = bn then a.bname else l), v))
-                                         inc);
-                                }
-                            | _ -> i)
-                          s.instrs)
-                    f.blocks;
-                  merged_this_round := true;
-                  changed := true
-              | _ -> ())
-          | _ -> ())
+        b.instrs <-
+          List.map
+            (fun (i : Instr.instr) ->
+              { i with op = Instr.map_operands resolve i.op })
+            b.instrs;
+        b.term <- Instr.map_term_operands resolve b.term)
       f.blocks
-  done
+  end
+
+(* merge straight-line block chains: [A -> br B] where B's only
+   predecessor is A (no phis) folds B into A.  A merge changes no other
+   block's predecessor count (A takes B's place as the predecessor of
+   B's successors), so one pass over the blocks merges every chain. *)
+let merge_blocks (f : Func.t) =
+  let cfg = Panalysis.Cfg.build f in
+  let entry_name = Panalysis.Cfg.entry cfg in
+  (* merged_into.(b) = the block that b was folded into *)
+  let merged_into = Hashtbl.create 16 in
+  let rec absorb (a : Func.block) =
+    match a.term with
+    | Instr.Br bn
+      when bn <> entry_name && bn <> a.bname
+           && List.length (Panalysis.Cfg.preds cfg bn) = 1 -> (
+        match Hashtbl.find_opt cfg.blocks bn with
+        | Some (b : Func.block)
+          when not
+                 (List.exists
+                    (fun (i : Instr.instr) ->
+                      match i.op with Instr.Phi _ -> true | _ -> false)
+                    b.instrs) ->
+            a.instrs <- a.instrs @ b.instrs;
+            a.term <- b.term;
+            Hashtbl.replace merged_into bn a.bname;
+            absorb a
+        | _ -> ())
+    | _ -> ()
+  in
+  List.iter
+    (fun (a : Func.block) -> if not (Hashtbl.mem merged_into a.bname) then absorb a)
+    f.blocks;
+  if Hashtbl.length merged_into > 0 then begin
+    f.blocks <-
+      List.filter (fun (b : Func.block) -> not (Hashtbl.mem merged_into b.bname)) f.blocks;
+    (* phis in a merged block's successors refer to it by name: retarget *)
+    let rec head l =
+      match Hashtbl.find_opt merged_into l with Some a -> head a | None -> l
+    in
+    List.iter
+      (fun (s : Func.block) ->
+        s.instrs <-
+          List.map
+            (fun (i : Instr.instr) ->
+              match i.op with
+              | Instr.Phi inc ->
+                  { i with op = Instr.Phi (List.map (fun (l, v) -> (head l, v)) inc) }
+              | _ -> i)
+            s.instrs)
+      f.blocks
+  end
 
 let count_instrs (f : Func.t) =
   List.fold_left
@@ -383,7 +351,7 @@ let run_func (f : Func.t) =
   let before_instrs = if observed then count_instrs f else 0 in
   let before_blocks = if observed then List.length f.blocks else 0 in
   let rewrites = Hashtbl.create 64 in
-  List.iter (fun b -> cse_block f b rewrites) f.blocks;
+  List.iter (fun b -> cse_block b rewrites) f.blocks;
   let cse_hits = Hashtbl.length rewrites in
   apply_rewrites f rewrites;
   fold_branches f;

@@ -109,7 +109,6 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
   let ranalysis fmt =
     Pobs.Remarks.(emit Analysis ~pass:"parsimony" ~func:f.fname) fmt
   in
-  let regions = Panalysis.Regions.of_func f in
   let info = Pshapes.Shapes.analyze f in
   (* dataflow divergence facts on the scalar function: strictly more
      precise than the shape analysis on branch conditions (e.g. phis
@@ -133,25 +132,10 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
   Func.iter_instrs f (fun _ i -> Hashtbl.replace defs i.id i);
   (* pointers rooted at allocas use the SoA layout (see Pshapes): element
      j of thread i lives at base + (j * G + i) * esz *)
-  let alloca_rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let () =
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Func.iter_instrs f (fun _ i ->
-          if not (Hashtbl.mem alloca_rooted i.id) then
-            match i.op with
-            | Instr.Alloca _ ->
-                Hashtbl.replace alloca_rooted i.id ();
-                changed := true
-            | Instr.Gep (Instr.Var p, _) when Hashtbl.mem alloca_rooted p ->
-                Hashtbl.replace alloca_rooted i.id ();
-                changed := true
-            | _ -> ())
-    done
-  in
   let is_alloca_rooted (o : Instr.operand) =
-    match o with Instr.Var v -> Hashtbl.mem alloca_rooted v | _ -> false
+    match o with
+    | Instr.Var v -> Hashtbl.mem info.Pshapes.Shapes.alloca_rooted v
+    | _ -> false
   in
   let shape_of (o : Instr.operand) : Pshapes.Shapes.shape =
     if opts.Options.shape_analysis then Pshapes.Shapes.shape_of info o
@@ -1195,7 +1179,7 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
       | _ -> fail "%s: partial SPMD function needs gang/thread params" f.fname
     end
   in
-  emit_regions entry_mask regions;
+  emit_regions entry_mask info.Pshapes.Shapes.regions;
   Builder.ret_void b;
   rpassed
     "function vectorized at gang %d: %d vector / %d scalar-kept instr(s), \

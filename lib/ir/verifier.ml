@@ -2,8 +2,10 @@
 
     The verifier catches the transformation bugs that matter in an
     IR-to-IR pass pipeline: mistyped operands, dangling labels,
-    duplicated SSA definitions, and malformed phis.  Dominance-based SSA
-    checks live in [Panalysis.Check] (they need the dominator tree). *)
+    duplicated SSA definitions, malformed phis and blocks unreachable
+    from the entry.  SSA use-dominance is checked by [Panalysis.Check],
+    on the dominator tree of [Panalysis.Dom]; [Check.check_func] runs
+    this verifier first. *)
 
 open Instr
 
@@ -16,8 +18,9 @@ let errors_to_string errs = Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_error) err
 let verify_func (f : Func.t) : (unit, error list) result =
   let errs = ref [] in
   let err where fmt = Fmt.kstr (fun msg -> errs := { where; msg } :: !errs) fmt in
-  let labels = List.map (fun (b : Func.block) -> b.bname) f.blocks in
-  let label_ok l = List.mem l labels in
+  let block_of = Hashtbl.create 16 in
+  List.iter (fun (b : Func.block) -> Hashtbl.replace block_of b.bname b) f.blocks;
+  let label_ok l = Hashtbl.mem block_of l in
   (* Single definition per id; collect all defs. *)
   let defined = Hashtbl.create 64 in
   List.iter (fun (v, _) -> Hashtbl.replace defined v ()) f.params;
@@ -37,8 +40,8 @@ let verify_func (f : Func.t) : (unit, error list) result =
         if not (Hashtbl.mem defined v) then None else Some (Func.ty_of_var f v)
   in
   let check_instr (b : Func.block) (i : instr) =
-    let where = Fmt.str "%s/%s:%%%d" f.fname b.bname i.id in
-    let err fmt = err where fmt in
+    (* the location is formatted only when an error is reported *)
+    let err fmt = err (Fmt.str "%s/%s:%%%d" f.fname b.bname i.id) fmt in
     (* all uses must be defined *)
     List.iter
       (fun v ->
@@ -312,26 +315,16 @@ let verify_func (f : Func.t) : (unit, error list) result =
       List.iter (fun i -> check_instr b i) b.instrs)
     f.blocks;
   (* block names unique *)
-  let rec dup = function
-    | [] -> ()
-    | l :: rest ->
-        if List.mem l rest then err f.fname "duplicate block label %s" l;
-        dup rest
-  in
-  dup labels;
-  if f.blocks = [] then err f.fname "function has no blocks";
-  (* reachability + SSA use-dominance.  The dominator sets are computed
-     locally (pir is a leaf library) with the classic iterative
-     dataflow: dom(entry) = {entry}, dom(b) = {b} ∪ ⋂ dom(preds) —
-     quadratic, but verifier-grade CFGs are small and the verifier must
-     not depend on the analysis library it is meant to check. *)
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Func.block) ->
+      if Hashtbl.mem seen b.bname then err f.fname "duplicate block label %s" b.bname
+      else Hashtbl.replace seen b.bname ())
+    f.blocks;
+  (* reachability *)
   (match f.blocks with
-  | [] -> ()
+  | [] -> err f.fname "function has no blocks"
   | entry :: _ ->
-      let block_of = Hashtbl.create 16 in
-      List.iter
-        (fun (b : Func.block) -> Hashtbl.replace block_of b.bname b)
-        f.blocks;
       let reachable = Hashtbl.create 16 in
       let rec dfs name =
         if (not (Hashtbl.mem reachable name)) && Hashtbl.mem block_of name
@@ -345,114 +338,7 @@ let verify_func (f : Func.t) : (unit, error list) result =
         (fun (b : Func.block) ->
           if not (Hashtbl.mem reachable b.bname) then
             err b.bname "block is unreachable from entry %s" entry.bname)
-        f.blocks;
-      let rblocks =
-        List.filter (fun (b : Func.block) -> Hashtbl.mem reachable b.bname) f.blocks
-      in
-      let rnames = List.map (fun (b : Func.block) -> b.bname) rblocks in
-      (* dominator sets as sorted name lists *)
-      let module S = Set.Make (String) in
-      let dom : (string, S.t) Hashtbl.t = Hashtbl.create 16 in
-      let all = S.of_list rnames in
-      List.iter
-        (fun n ->
-          Hashtbl.replace dom n
-            (if n = entry.bname then S.singleton n else all))
-        rnames;
-      let rpreds n =
-        List.filter (fun p -> Hashtbl.mem reachable p)
-          (Option.value ~default:[] (Hashtbl.find_opt preds n))
-      in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun n ->
-            if n <> entry.bname then begin
-              let inter =
-                match rpreds n with
-                | [] -> S.singleton n (* only the entry; defensive *)
-                | p :: ps ->
-                    List.fold_left
-                      (fun acc q -> S.inter acc (Hashtbl.find dom q))
-                      (Hashtbl.find dom p) ps
-              in
-              let nd = S.add n inter in
-              if not (S.equal nd (Hashtbl.find dom n)) then begin
-                Hashtbl.replace dom n nd;
-                changed := true
-              end
-            end)
-          rnames
-      done;
-      let dominates a b =
-        (* vacuous for labels outside the reachable set: those already
-           produced their own error above *)
-        match Hashtbl.find_opt dom b with
-        | Some s -> S.mem a s
-        | None -> true
-      in
-      (* definition sites of reachable instructions *)
-      let def_site = Hashtbl.create 64 in
-      List.iter
-        (fun (b : Func.block) ->
-          List.iteri
-            (fun idx (i : instr) -> Hashtbl.replace def_site i.id (b.bname, idx))
-            b.instrs)
-        rblocks;
-      let is_param v = List.exists (fun (p, _) -> p = v) f.params in
-      let dominates_use v ~use_block ~use_idx =
-        is_param v
-        ||
-        match Hashtbl.find_opt def_site v with
-        | None -> true (* defined only in unreachable code: reported above *)
-        | Some (db, di) ->
-            if db = use_block then di < use_idx
-            else dominates db use_block
-      in
-      let dominates_block_end v block =
-        is_param v
-        ||
-        match Hashtbl.find_opt def_site v with
-        | None -> true
-        | Some (db, _) -> dominates db block
-      in
-      List.iter
-        (fun (b : Func.block) ->
-          List.iteri
-            (fun idx (i : instr) ->
-              match i.op with
-              | Phi incoming ->
-                  (* a phi's incoming value must be available at the end
-                     of the corresponding predecessor, not at the phi *)
-                  List.iter
-                    (fun (l, v) ->
-                      match v with
-                      | Var v when not (dominates_block_end v l) ->
-                          err b.bname
-                            "phi %%%d incoming %%%d does not dominate the end \
-                             of pred %s"
-                            i.id v l
-                      | _ -> ())
-                    incoming
-              | _ ->
-                  List.iter
-                    (fun v ->
-                      if not (dominates_use v ~use_block:b.bname ~use_idx:idx)
-                      then
-                        err b.bname
-                          "use of %%%d in %%%d is not dominated by its \
-                           definition"
-                          v i.id)
-                    (uses_of_op i.op))
-            b.instrs;
-          match b.term with
-          | CondBr (Var v, _, _) | Ret (Some (Var v)) ->
-              if not (dominates_block_end v b.bname) then
-                err b.bname
-                  "terminator use of %%%d is not dominated by its definition" v
-          | _ -> ())
-        rblocks);
+        f.blocks);
   match !errs with [] -> Ok () | es -> Error (List.rev es)
 
 let verify_module (m : Func.modul) : (unit, error list) result =

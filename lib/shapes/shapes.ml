@@ -56,6 +56,9 @@ type info = {
   shapes : (int, shape) Hashtbl.t;
   facts : (int, Psmt.Facts.t) Hashtbl.t;
   rule_hits : (string, int) Hashtbl.t;  (** which rules fired, for reports *)
+  regions : Panalysis.Regions.region list;  (** the function's region tree *)
+  alloca_rooted : (int, unit) Hashtbl.t;
+      (** pointers rooted at an alloca (SoA-laid-out private storage) *)
 }
 
 let shape_of info (o : Pir.Instr.operand) : shape =
@@ -99,12 +102,15 @@ let analyze (f : Pir.Func.t) : info =
     | None -> raise (Not_spmd f.fname)
   in
   let regions = Panalysis.Regions.of_func f in
+  let alloca_rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let info =
     {
       gang;
       shapes = Hashtbl.create 64;
       facts = Hashtbl.create 64;
       rule_hits = Hashtbl.create 16;
+      regions;
+      alloca_rooted;
     }
   in
   let cells : (int, cell) Hashtbl.t = Hashtbl.create 64 in
@@ -131,8 +137,6 @@ let analyze (f : Pir.Func.t) : info =
     f.params;
   let widen_mode = ref false in
   let is_uniform_cell = function Known s -> is_uniform s | Bot -> false in
-  (* pointers rooted at an alloca (SoA-laid-out private storage) *)
-  let alloca_rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let () =
     let changed = ref true in
     while !changed do

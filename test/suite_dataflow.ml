@@ -339,7 +339,8 @@ let test_reclass_model_check () =
     (List.exists (fun (r : Psmt.Verify.report) -> r.rule = "reclass.load.shuffle") all);
   Alcotest.(check bool) "full sweep ok" true (Psmt.Verify.all_ok all)
 
-(* -- hardened verifier: reachability + use-dominance -- *)
+(* -- hardened verifier: reachability in Pir.Verifier, use-dominance in
+   Panalysis.Check, its only home -- *)
 
 let test_verifier_unreachable () =
   let f = Func.create "unreach" ~params:[] ~ret:Types.Void in
@@ -375,13 +376,11 @@ let test_verifier_use_dominance () =
   let bj = Builder.add_block b "join" in
   Builder.position b bj;
   Builder.ret_void b;
-  (match Verifier.verify_func f with
+  (match Panalysis.Check.verify_ssa f with
   | Ok () -> Alcotest.fail "verifier accepted non-dominating use"
   | Error es ->
       Alcotest.(check bool) "mentions dominance" true
-        (List.exists
-           (fun (e : Verifier.error) -> contains e.msg "dominated")
-           es));
+        (List.exists (fun e -> contains e "dominated") es));
   (* the same value used behind the defining branch is fine *)
   let g = Func.create "domok" ~params:[ (0, Types.i32) ] ~ret:Types.Void in
   let b = Builder.create g in
@@ -398,9 +397,9 @@ let test_verifier_use_dominance () =
   let bj = Builder.add_block b "join" in
   Builder.position b bj;
   Builder.ret_void b;
-  match Verifier.verify_func g with
+  match Panalysis.Check.verify_ssa g with
   | Ok () -> ()
-  | Error es -> Alcotest.failf "rejected dominated use: %s" (Verifier.errors_to_string es)
+  | Error es -> Alcotest.failf "rejected dominated use: %s" (String.concat "; " es)
 
 let test_verifier_phi_incoming_dominance () =
   (* phi incoming value must dominate the *end of the predecessor*;
@@ -420,13 +419,11 @@ let test_verifier_phi_incoming_dominance () =
   Builder.position b bj;
   let r = Builder.phi b Types.i32 [ ("then", x); ("else", x) ] in
   Builder.ret b (Some r);
-  match Verifier.verify_func f with
+  match Panalysis.Check.verify_ssa f with
   | Ok () -> Alcotest.fail "verifier accepted phi incoming without dominance"
   | Error es ->
       Alcotest.(check bool) "mentions pred" true
-        (List.exists
-           (fun (e : Verifier.error) -> contains e.msg "pred")
-           es)
+        (List.exists (fun e -> contains e "pred") es)
 
 (* -- the sanitizer on PsimC sources -- *)
 

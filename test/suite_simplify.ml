@@ -124,6 +124,115 @@ let test_coalescing_blocked_by_load () =
     (count_op f (fun i ->
          match i.Instr.op with Instr.VStore _ -> true | _ -> false))
 
+(* -- the CSE key: float constants by bit pattern, vectors by lane -- *)
+
+let count_fbin f k =
+  count_op f (fun i ->
+      match i.Instr.op with Instr.Fbin (k', _, _) -> k' = k | _ -> false)
+
+(* [op x c1] and [op x c2] feeding one result, simplified *)
+let two_ops ty op c1 c2 =
+  let f = Func.create "k" ~params:[ (0, ty) ] ~ret:ty in
+  let b = Builder.create f in
+  let a = op b (Instr.Var 0) c1 in
+  let a' = op b (Instr.Var 0) c2 in
+  Builder.ret b (Some (Builder.fsub b a a'));
+  Parsimony.Simplify.run_func f;
+  Panalysis.Check.check_func f;
+  f
+
+let test_cse_signed_zeros () =
+  let f = two_ops Types.f32 Builder.fadd (Instr.cf32 0.0) (Instr.cf32 (-0.0)) in
+  Alcotest.(check int) "fadd x, 0.0 and fadd x, -0.0 stay apart" 2
+    (count_fbin f Instr.FAdd)
+
+let test_cse_equal_floats () =
+  let f = two_ops Types.f32 Builder.fmul (Instr.cf32 1.5) (Instr.cf32 1.5) in
+  Alcotest.(check int) "two fmul x, 1.5 merge" 1 (count_fbin f Instr.FMul)
+
+let test_cse_nan_bits () =
+  let nan bits = Instr.cf64 (Int64.float_of_bits bits) in
+  let f = two_ops Types.f64 Builder.fadd (nan 0x7ff8000000000001L) (nan 0x7ff8000000000001L) in
+  Alcotest.(check int) "the same NaN merges" 1 (count_fbin f Instr.FAdd);
+  let f = two_ops Types.f64 Builder.fadd (nan 0x7ff8000000000001L) (nan 0x7ff8000000000002L) in
+  Alcotest.(check int) "different NaN payloads stay apart" 2 (count_fbin f Instr.FAdd)
+
+let test_cse_vector_lanes () =
+  let ty = Types.Vec (Types.I32, 4) in
+  let f = Func.create "lanes" ~params:[ (0, ty) ] ~ret:ty in
+  let b = Builder.create f in
+  let c1 = Instr.cvec Types.I32 [| 1L; 2L; 3L; 4L |] in
+  let c2 = Instr.cvec Types.I32 [| 1L; 2L; 3L; 5L |] in
+  let a = Builder.add b (Instr.Var 0) c1 in
+  let a' = Builder.add b (Instr.Var 0) c2 in
+  let a'' = Builder.add b (Instr.Var 0) c1 in
+  Builder.ret b (Some (Builder.xor b (Builder.xor b a a') a''));
+  Parsimony.Simplify.run_func f;
+  Panalysis.Check.check_func f;
+  Alcotest.(check int) "one add per distinct vector constant" 2
+    (count_op f (fun i ->
+         match i.Instr.op with Instr.Ibin (Instr.Add, _, _) -> true | _ -> false))
+
+(* masked stores of lane k's value k + 1 into one 4-lane chunk at
+   [gep %0, 4], each through its own gep, against an i32[8] of 99s *)
+let chunk_stores lanes =
+  let build () =
+    let f = Func.create "chunk" ~params:[ (0, Types.Ptr Types.I32) ] ~ret:Types.Void in
+    let b = Builder.create f in
+    List.iter
+      (fun k ->
+        let p = Builder.gep b (Instr.Var 0) (Instr.ci64 4) in
+        let v = Instr.cvec Types.I32 (Array.make 4 (Int64.of_int (k + 1))) in
+        let m = Instr.cvec Types.I1 (Array.init 4 (fun l -> if l = k then 1L else 0L)) in
+        Builder.vstore b ~mask:m v p)
+      lanes;
+    Builder.ret_void b;
+    f
+  in
+  let exec f =
+    let m = Func.create_module "t" in
+    Func.add_func m f;
+    let t = Pmachine.Interp.create m in
+    let a =
+      Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+        (Array.make 8 (Pmachine.Value.I 99L))
+    in
+    ignore (Pmachine.Interp.run t "chunk" [ Pmachine.Value.I (Int64.of_int a) ]);
+    Pmachine.Memory.read_array t.Pmachine.Interp.mem Types.I32 a 8
+  in
+  (build, exec)
+
+let count_vstores f =
+  count_op f (fun i -> match i.Instr.op with Instr.VStore _ -> true | _ -> false)
+
+let test_coalescing_gep_offset () =
+  let build, exec = chunk_stores [ 0; 2 ] in
+  let before = exec (build ()) in
+  (* two geps with the same base and offset: the key is (base, offset),
+     not the gep that computed the address *)
+  let f = build () in
+  Parsimony.Simplify.coalesce_stores f;
+  Panalysis.Check.check_func f;
+  Alcotest.(check int) "stores merged" 1 (count_vstores f);
+  Alcotest.(check bool) "same memory effect" true
+    (Array.for_all2 Pmachine.Value.equal before (exec f))
+
+let test_coalescing_three_stores () =
+  let build, exec = chunk_stores [ 0; 1; 3 ] in
+  let before = exec (build ()) in
+  let f = build () in
+  Parsimony.Simplify.run_func f;
+  Panalysis.Check.check_func f;
+  Alcotest.(check int) "three stores merged into one" 1 (count_vstores f);
+  let after = exec f in
+  Alcotest.(check bool) "same memory effect" true
+    (Array.for_all2 Pmachine.Value.equal before after);
+  Alcotest.(check bool) "merged contents" true
+    (Array.for_all2 Pmachine.Value.equal after
+       (Array.map
+          (fun x -> Pmachine.Value.I (Int64.of_int x))
+          [| 99; 99; 99; 99; 1; 2; 99; 4 |]))
+
 let suites =
   [
     ( "simplify",
@@ -136,6 +245,16 @@ let suites =
         Alcotest.test_case "masked store coalescing" `Quick test_store_coalescing;
         Alcotest.test_case "coalescing blocked by loads" `Quick
           test_coalescing_blocked_by_load;
+        Alcotest.test_case "CSE keeps 0.0 and -0.0 apart" `Quick test_cse_signed_zeros;
+        Alcotest.test_case "CSE merges equal float constants" `Quick
+          test_cse_equal_floats;
+        Alcotest.test_case "CSE keys NaN by bit pattern" `Quick test_cse_nan_bits;
+        Alcotest.test_case "CSE keeps vector constants apart by lane" `Quick
+          test_cse_vector_lanes;
+        Alcotest.test_case "coalescing keys gep base and offset" `Quick
+          test_coalescing_gep_offset;
+        Alcotest.test_case "three masked stores coalesce" `Quick
+          test_coalescing_three_stores;
       ] );
   ]
 
