@@ -1,16 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index) on the simulated
-   AVX-512 machine, then runs Bechamel micro-benchmarks of the compiler
-   itself (pass time, shape analysis, rule verification, interpreter).
+   AVX-512 machine.  The compiler's own wall-clock is measured by the
+   repository benchmark, perfbench/.
 
    Usage:
-     dune exec bench/main.exe [--] [fast] [--jobs N] [--json FILE]
+     dune exec bench/main.exe [--] [--jobs N] [--json FILE]
                                    [--trace FILE] [--history FILE]
                                    [--engine interp|vm]
      dune exec bench/main.exe -- diff BASELINE [CURRENT] [--engine E]
      dune exec bench/main.exe -- check --baseline FILE [--current FILE]
                                        [--tolerance PCT] [--engine E]
-   - "fast" skips the Bechamel wall-clock section.
    - "--engine" selects the execution engine for the sweeps (default:
      the register VM).  The engine is recorded in the run document and
      [check]/[diff] refuse to compare runs across engines (exit 2).
@@ -43,7 +42,7 @@ let pr fmt = Fmt.pr fmt
 
 let usage () =
   Fmt.epr
-    "usage: main.exe [fast] [--jobs N] [--json FILE] [--trace FILE] \
+    "usage: main.exe [--jobs N] [--json FILE] [--trace FILE] \
      [--history FILE] [--engine interp|vm]@.       main.exe diff BASELINE \
      [CURRENT] [--engine E]@.       main.exe check --baseline FILE [--current \
      FILE] [--tolerance PCT] [--engine E]@.       main.exe overhead [--kernel \
@@ -51,7 +50,6 @@ let usage () =
   exit 2
 
 type cli = {
-  fast : bool;
   jobs : int;
   json : string option;
   trace : string option;
@@ -104,7 +102,6 @@ let parse_run_cli args =
   let cli =
     ref
       {
-        fast = false;
         jobs;
         json = None;
         trace = None;
@@ -114,9 +111,6 @@ let parse_run_cli args =
   in
   let rec go = function
     | [] -> ()
-    | "fast" :: rest ->
-        cli := { !cli with fast = true };
-        go rest
     | "--jobs" :: n :: rest ->
         cli := { !cli with jobs = parse_jobs n };
         go rest
@@ -411,68 +405,6 @@ let hot_block_digests pool ~engine : (string * Pobs.Json.t) list =
                  top) ))
     kernels
 
-(* -- Bechamel micro-benchmarks of the toolchain itself -- *)
-
-let bechamel_benches () =
-  let open Bechamel in
-  let open Toolkit in
-  let sample_kernel =
-    List.find
-      (fun (k : Psimdlib.Workload.kernel) -> k.kname = "gaussian_blur_3x3")
-      Psimdlib.Registry.all
-  in
-  let compiled = Pfrontend.Lower.compile sample_kernel.psim_src in
-  let spmd_func =
-    List.find (fun f -> f.Pir.Func.spmd <> None) compiled.Pir.Func.funcs
-  in
-  let test_frontend =
-    Test.make ~name:"frontend: parse+lower gaussian_blur_3x3"
-      (Staged.stage (fun () ->
-           ignore (Pfrontend.Lower.compile sample_kernel.psim_src)))
-  in
-  let test_shapes =
-    Test.make ~name:"shape analysis (one SPMD function)"
-      (Staged.stage (fun () -> ignore (Pshapes.Shapes.analyze spmd_func)))
-  in
-  let test_vectorize =
-    Test.make ~name:"Parsimony pass (one SPMD function)"
-      (Staged.stage (fun () ->
-           ignore (Parsimony.Vectorizer.vectorize_func spmd_func)))
-  in
-  let test_rules =
-    Test.make ~name:"offline rule verification (sampled)"
-      (Staged.stage (fun () -> ignore (Psmt.Verify.check_all ())))
-  in
-  let test_interp =
-    Test.make ~name:"simulator: one vectorized kernel execution"
-      (Staged.stage (fun () ->
-           ignore
-             (Pharness.Runner.run sample_kernel
-                (Pharness.Runner.ParsimonyImpl Parsimony.Options.default))))
-  in
-  let benchmark test =
-    let instances = [ Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 0.5) ~kde:None () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  pr "@.== Toolchain micro-benchmarks (Bechamel, wall clock) ==@.";
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> pr "%-48s %12.1f ns/run@." name est
-          | _ -> pr "%-48s (no estimate)@." name)
-        results)
-    [ test_frontend; test_shapes; test_vectorize; test_rules; test_interp ]
-
 (* Per-(pass, kind) optimization-remark tallies collected in
    [Pobs.Remarks.Counts] mode during the figure sweeps; keys like
    "parsimony.passed".  Already sorted deterministically. *)
@@ -759,7 +691,6 @@ let cmd_run (cli : cli) =
              Pharness.Loadgen.report_to_json report))
     else None
   in
-  if not cli.fast then bechamel_benches ();
   pr "@.== Harness timings (wall clock, --jobs %d) ==@." cli.jobs;
   List.iter (fun (s, dt) -> pr "%-36s %9.3fs@." s dt) !timings;
   if wants_doc then begin

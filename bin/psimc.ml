@@ -785,6 +785,7 @@ let verify_kernel_cmd =
           Panalysis.Check.check_module m
         in
         let refuted = ref 0 and bounded = ref 0 and proved = ref 0 in
+        let errors = ref 0 in
         let docs =
           List.map
             (fun file ->
@@ -797,36 +798,43 @@ let verify_kernel_cmd =
               let serial =
                 opts.Parsimony.Options.strategy = Parsimony.Options.SlpOptimal
               in
-              let results = Parsimony.Tv.verify_module ~params ~serial ~transform m in
-              List.iter
-                (fun (r : Parsimony.Tv.result) ->
-                  (match r.verdict with
-                  | Psmt.Equiv.Proved _ -> incr proved
-                  | Psmt.Equiv.Refuted _ -> incr refuted
-                  | Psmt.Equiv.Bounded _ -> incr bounded);
-                  Fmt.pr "%s %s: %a@." name r.vfunc Psmt.Equiv.pp_verdict r.verdict)
-                results;
-              ( name,
-                Pobs.Json.Arr
-                  (List.map
-                     (fun (r : Parsimony.Tv.result) ->
-                       Pobs.Json.Obj
-                         [
-                           ("func", Pobs.Json.Str r.vfunc);
-                           ("gang", Pobs.Json.Int r.gang_used);
-                           ("verdict", Pobs.Json.Str (Psmt.Equiv.verdict_name r.verdict));
-                           ("cases", Pobs.Json.Int (Psmt.Equiv.verdict_cases r.verdict));
-                           ("ms", Pobs.Json.Float r.ms);
-                           ( "detail",
-                             Pobs.Json.Str
-                               (match r.verdict with
-                               | Psmt.Equiv.Proved { vacuous; _ } ->
-                                   Fmt.str "%d vacuous" vacuous
-                               | Psmt.Equiv.Bounded { reason; _ } -> reason
-                               | Psmt.Equiv.Refuted { cx; _ } ->
-                                   Fmt.str "%a" Psmt.Equiv.pp_counterexample cx) );
-                         ])
-                     results) ))
+              match Parsimony.Tv.verify_module ~params ~serial ~transform m with
+              | exception Pbackend.Legalize.Unsupported reason ->
+                  (* the candidate cannot be built: no verdict to give *)
+                  incr errors;
+                  Fmt.epr "psimc: error: %s: cannot legalize to %d lanes: %s@." name
+                    (Option.get legalize) reason;
+                  (name, Pobs.Json.Obj [ ("error", Pobs.Json.Str reason) ])
+              | results ->
+                  List.iter
+                    (fun (r : Parsimony.Tv.result) ->
+                      (match r.verdict with
+                      | Psmt.Equiv.Proved _ -> incr proved
+                      | Psmt.Equiv.Refuted _ -> incr refuted
+                      | Psmt.Equiv.Bounded _ -> incr bounded);
+                      Fmt.pr "%s %s: %a@." name r.vfunc Psmt.Equiv.pp_verdict r.verdict)
+                    results;
+                  ( name,
+                    Pobs.Json.Arr
+                      (List.map
+                         (fun (r : Parsimony.Tv.result) ->
+                           Pobs.Json.Obj
+                             [
+                               ("func", Pobs.Json.Str r.vfunc);
+                               ("gang", Pobs.Json.Int r.gang_used);
+                               ("verdict", Pobs.Json.Str (Psmt.Equiv.verdict_name r.verdict));
+                               ("cases", Pobs.Json.Int (Psmt.Equiv.verdict_cases r.verdict));
+                               ("ms", Pobs.Json.Float r.ms);
+                               ( "detail",
+                                 Pobs.Json.Str
+                                   (match r.verdict with
+                                   | Psmt.Equiv.Proved { vacuous; _ } ->
+                                       Fmt.str "%d vacuous" vacuous
+                                   | Psmt.Equiv.Bounded { reason; _ } -> reason
+                                   | Psmt.Equiv.Refuted { cx; _ } ->
+                                       Fmt.str "%a" Psmt.Equiv.pp_counterexample cx) );
+                             ])
+                         results) ))
             sources
         in
         (match json with
@@ -855,6 +863,7 @@ let verify_kernel_cmd =
                         ("proved", Pobs.Json.Int !proved);
                         ("refuted", Pobs.Json.Int !refuted);
                         ("bounded", Pobs.Json.Int !bounded);
+                        ("errors", Pobs.Json.Int !errors);
                       ] );
                   ("kernels", Pobs.Json.Obj docs);
                 ]
@@ -864,11 +873,12 @@ let verify_kernel_cmd =
               ~finally:(fun () -> close_out oc)
               (fun () -> output_string oc (Pobs.Json.to_string doc));
             Fmt.epr "wrote report to %s@." path);
-        Fmt.pr "verify-kernel: %d proved, %d counterexamples, %d bounded out@."
-          !proved !refuted !bounded;
+        Fmt.pr "verify-kernel: %d proved, %d counterexamples, %d bounded out%s@."
+          !proved !refuted !bounded
+          (if !errors > 0 then Fmt.str ", %d not legalizable" !errors else "");
         if !bounded > 0 then
           Fmt.epr "warning: %d verification(s) bounded out (no claim made)@." !bounded;
-        if !refuted > 0 then exit 1)
+        if !refuted > 0 || !errors > 0 then exit 1)
   in
   Cmd.v
     (Cmd.info "verify-kernel"

@@ -431,25 +431,15 @@ let analyze_loop (f : Func.t) (cfg : Panalysis.Cfg.t) (loops : Panalysis.Loops.t
 
 let transform_loop (f : Func.t) (plan : plan) : unit =
   let vf = plan.vf in
-  let fresh_block name =
-    let b : Func.block = { bname = name; instrs = []; term = Instr.Unreachable } in
-    f.blocks <- f.blocks @ [ b ];
-    b
-  in
   let name_suffix = plan.header_block.bname in
-  let vp = fresh_block ("avx.pre." ^ name_suffix) in
-  let vh = fresh_block ("avx.hdr." ^ name_suffix) in
-  let vb = fresh_block ("avx.body." ^ name_suffix) in
-  let vx = fresh_block ("avx.exit." ^ name_suffix) in
-  (* a tiny local builder *)
-  let cur = ref vp in
-  let ins ty op =
-    let id = Func.fresh_id f in
-    Func.set_ty f id ty;
-    !cur.instrs <- !cur.instrs @ [ { Instr.id; ty; op } ];
-    Instr.Var id
-  in
-  let ty_of o = Func.ty_of_operand f o in
+  (* the vector loop's blocks go after the function's own *)
+  let b = Builder.create ~entry:("avx.pre." ^ name_suffix) f in
+  let vp = Builder.current b in
+  let vh = Builder.add_block b ("avx.hdr." ^ name_suffix) in
+  let vb = Builder.add_block b ("avx.body." ^ name_suffix) in
+  let vx = Builder.add_block b ("avx.exit." ^ name_suffix) in
+  let ins = Builder.ins b in
+  let ty_of = Builder.ty_of b in
   let iv_ty = ty_of (Instr.Var plan.iv.phi) in
   let iv_scalar = Types.elem iv_ty in
   let c_iv v = Instr.cint iv_scalar (Int64.of_int v) in
@@ -485,9 +475,9 @@ let transform_loop (f : Func.t) (plan : plan) : unit =
         | _ -> ins (Types.Vec (s, vf)) (Instr.Splat (r.rinit, vf)))
       plan.reductions
   in
-  vp.term <- Instr.Br vh.bname;
+  Builder.br b vh.bname;
   (* vector header *)
-  cur := vh;
+  Builder.position b vh;
   let viv = ins iv_ty (Instr.Phi [ (vp.bname, init) ]) in
   let vaccs =
     List.map2
@@ -500,9 +490,9 @@ let transform_loop (f : Func.t) (plan : plan) : unit =
     ins Types.bool_
       (Instr.Icmp ((if plan.signed_cmp then Instr.Slt else Instr.Ult), viv, vbound))
   in
-  vh.term <- Instr.CondBr (vc, vb.bname, vx.bname);
+  Builder.condbr b vc vb.bname vx.bname;
   (* vector body *)
-  cur := vb;
+  Builder.position b vb;
   let vmap : (int, Instr.operand) Hashtbl.t = Hashtbl.create 32 in
   let in_loop = Hashtbl.create 32 in
   List.iter
@@ -641,30 +631,20 @@ let transform_loop (f : Func.t) (plan : plan) : unit =
       if i.id <> plan.iv.next then vectorize_instr i)
     plan.body_block.instrs;
   let viv' = ins iv_ty (Instr.Ibin (Instr.Add, viv, c_iv vf)) in
-  vb.term <- Instr.Br vh.bname;
+  Builder.br b vh.bname;
   (* patch vector header phis with latch values *)
-  let patch_phi blk id extra =
-    blk.Func.instrs <-
-      List.map
-        (fun (ins : Instr.instr) ->
-          if ins.id <> id then ins
-          else
-            match ins.op with
-            | Instr.Phi inc -> { ins with op = Instr.Phi (inc @ extra) }
-            | _ -> ins)
-        blk.Func.instrs
-  in
   (match viv with
-  | Instr.Var id -> patch_phi vh id [ (vb.bname, viv') ]
+  | Instr.Var id -> Builder.add_incoming b vh id [ (vb.bname, viv') ]
   | _ -> assert false);
   List.iter
     (fun (r, acc) ->
       match acc with
-      | Instr.Var id -> patch_phi vh id [ (vb.bname, Hashtbl.find vmap r.rupdate) ]
+      | Instr.Var id ->
+          Builder.add_incoming b vh id [ (vb.bname, Hashtbl.find vmap r.rupdate) ]
       | _ -> assert false)
     vaccs;
   (* vector exit: fold accumulators, branch to the scalar remainder *)
-  cur := vx;
+  Builder.position b vx;
   let reduced =
     List.map
       (fun (r, acc) ->
@@ -672,7 +652,8 @@ let transform_loop (f : Func.t) (plan : plan) : unit =
         (r, ins rty (Instr.Reduce (r.rkind, acc))))
       vaccs
   in
-  vx.term <- Instr.Br plan.header_block.bname;
+  Builder.br b plan.header_block.bname;
+  Builder.finish b;
   (* rewire: preheader branches to the vector preheader; the original
      loop becomes the remainder, starting at vbound with the reduced
      accumulators *)

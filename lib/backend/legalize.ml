@@ -67,21 +67,9 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
   let vmap : (int, Instr.operand array) Hashtbl.t = Hashtbl.create 64 in
   let smap : (int, Instr.operand) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun (v, _) -> Hashtbl.replace smap v (Instr.Var v)) f.params;
-  let blocks =
-    List.map
-      (fun (b : Func.block) ->
-        let nb : Func.block = { bname = b.bname; instrs = []; term = Instr.Unreachable } in
-        nb)
-      f.blocks
-  in
-  nf.blocks <- blocks;
-  let nblock name = List.find (fun (b : Func.block) -> b.bname = name) blocks in
-  let emit blk ty op =
-    let id = Func.fresh_id nf in
-    Func.set_ty nf id ty;
-    blk.Func.instrs <- blk.Func.instrs @ [ { Instr.id; ty; op } ];
-    Instr.Var id
-  in
+  (* one block per block of [f], same names, same order *)
+  let b = Builder.create ~entry:(Func.entry f).bname nf in
+  let emit = Builder.ins b in
   (* chunk forms of an operand *)
   let chunk_ty (ty : Types.t) c =
     match ty with
@@ -90,7 +78,7 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
         Types.Vec (s, min lanes_per_chunk (n - lo))
     | t -> t
   in
-  let chunks_of_operand blk (o : Instr.operand) ~(ty : Types.t) :
+  let chunks_of_operand (o : Instr.operand) ~(ty : Types.t) :
       Instr.operand array =
     match (o, ty) with
     | Instr.Var v, Types.Vec _ -> (
@@ -105,7 +93,6 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
             let len = min lanes_per_chunk (Array.length a - lo) in
             Instr.Const (Instr.Cvec (s, Array.sub a lo len)))
     | o, Types.Vec _ ->
-        ignore blk;
         unsup "unexpected vector operand %a" Instr.pp_operand o
     | o, _ -> [| o |]
   in
@@ -117,7 +104,7 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
         | None -> unsup "scalar %%%d unmapped" v)
     | o -> o
   in
-  let legalize_instr blk (i : Instr.instr) =
+  let legalize_instr (i : Instr.instr) =
     let ty = i.ty in
     let nchunks = chunks_of ty ~lanes_per_chunk in
     let oty (o : Instr.operand) = Func.ty_of_operand f o in
@@ -125,43 +112,43 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
     | Instr.Phi _ when not (Types.is_vector ty) ->
         (* scalar phi: placeholder incoming patched in the second pass *)
         Hashtbl.replace smap i.id
-          (emit blk ty
+          (emit ty
              (Instr.Phi (List.map (fun (l, _) -> (l, Instr.ci32 0)) (incoming_of i))))
     | _ when not (Types.is_vector ty || Instr.has_side_effects i.op) ->
         (* scalar instruction: copy with scalar-mapped operands, except
            reductions/extracts whose inputs are vectors *)
         let copy_scalar () =
           let op = Instr.map_operands scalar_of i.op in
-          Hashtbl.replace smap i.id (emit blk ty op)
+          Hashtbl.replace smap i.id (emit ty op)
         in
         (match i.op with
         | Instr.Reduce (k, v) ->
-            let cs = chunks_of_operand blk v ~ty:(oty v) in
+            let cs = chunks_of_operand v ~ty:(oty v) in
             if Array.length cs = 1 then
               (* single chunk: still rewrite through the chunk map — the
                  operand is a vector value, which lives in [vmap] under a
                  fresh id, never in [smap] *)
-              Hashtbl.replace smap i.id (emit blk ty (Instr.Reduce (k, cs.(0))))
+              Hashtbl.replace smap i.id (emit ty (Instr.Reduce (k, cs.(0))))
             else begin
               (* reduce each chunk, then combine scalars *)
               let partials =
-                Array.map (fun c -> emit blk ty (Instr.Reduce (k, c))) cs
+                Array.map (fun c -> emit ty (Instr.Reduce (k, c))) cs
               in
               let combine a b =
                 match k with
-                | Instr.RAdd -> emit blk ty (Instr.Ibin (Instr.Add, a, b))
-                | Instr.RAnd -> emit blk ty (Instr.Ibin (Instr.And, a, b))
-                | Instr.ROr -> emit blk ty (Instr.Ibin (Instr.Or, a, b))
-                | Instr.RXor -> emit blk ty (Instr.Ibin (Instr.Xor, a, b))
-                | Instr.RSMin -> emit blk ty (Instr.Ibin (Instr.SMin, a, b))
-                | Instr.RSMax -> emit blk ty (Instr.Ibin (Instr.SMax, a, b))
-                | Instr.RUMin -> emit blk ty (Instr.Ibin (Instr.UMin, a, b))
-                | Instr.RUMax -> emit blk ty (Instr.Ibin (Instr.UMax, a, b))
-                | Instr.RFAdd -> emit blk ty (Instr.Fbin (Instr.FAdd, a, b))
-                | Instr.RFMin -> emit blk ty (Instr.Fbin (Instr.FMin, a, b))
-                | Instr.RFMax -> emit blk ty (Instr.Fbin (Instr.FMax, a, b))
-                | Instr.RAny -> emit blk ty (Instr.Ibin (Instr.Or, a, b))
-                | Instr.RAll -> emit blk ty (Instr.Ibin (Instr.And, a, b))
+                | Instr.RAdd -> emit ty (Instr.Ibin (Instr.Add, a, b))
+                | Instr.RAnd -> emit ty (Instr.Ibin (Instr.And, a, b))
+                | Instr.ROr -> emit ty (Instr.Ibin (Instr.Or, a, b))
+                | Instr.RXor -> emit ty (Instr.Ibin (Instr.Xor, a, b))
+                | Instr.RSMin -> emit ty (Instr.Ibin (Instr.SMin, a, b))
+                | Instr.RSMax -> emit ty (Instr.Ibin (Instr.SMax, a, b))
+                | Instr.RUMin -> emit ty (Instr.Ibin (Instr.UMin, a, b))
+                | Instr.RUMax -> emit ty (Instr.Ibin (Instr.UMax, a, b))
+                | Instr.RFAdd -> emit ty (Instr.Fbin (Instr.FAdd, a, b))
+                | Instr.RFMin -> emit ty (Instr.Fbin (Instr.FMin, a, b))
+                | Instr.RFMax -> emit ty (Instr.Fbin (Instr.FMax, a, b))
+                | Instr.RAny -> emit ty (Instr.Ibin (Instr.Or, a, b))
+                | Instr.RAll -> emit ty (Instr.Ibin (Instr.And, a, b))
               in
               Hashtbl.replace smap i.id
                 (Array.fold_left
@@ -170,42 +157,42 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                 |> Option.get)
             end
         | Instr.ExtractLane (v, idx) -> (
-            let cs = chunks_of_operand blk v ~ty:(oty v) in
+            let cs = chunks_of_operand v ~ty:(oty v) in
             if Array.length cs = 1 then
               Hashtbl.replace smap i.id
-                (emit blk ty (Instr.ExtractLane (cs.(0), scalar_of idx)))
+                (emit ty (Instr.ExtractLane (cs.(0), scalar_of idx)))
             else
               match Instr.const_int_value idx with
               | Some k ->
                   let c = Int64.to_int k / lanes_per_chunk in
                   let off = Int64.to_int k mod lanes_per_chunk in
                   Hashtbl.replace smap i.id
-                    (emit blk ty (Instr.ExtractLane (cs.(c), Instr.ci32 off)))
+                    (emit ty (Instr.ExtractLane (cs.(c), Instr.ci32 off)))
               | None -> unsup "dynamic extractlane across chunks")
         | Instr.FirstLane v ->
-            let cs = chunks_of_operand blk v ~ty:(oty v) in
+            let cs = chunks_of_operand v ~ty:(oty v) in
             if Array.length cs = 1 then
-              Hashtbl.replace smap i.id (emit blk ty (Instr.FirstLane cs.(0)))
+              Hashtbl.replace smap i.id (emit ty (Instr.FirstLane cs.(0)))
             else begin
               (* first active lane across chunks: firstlane per chunk and
                  select the first non-negative, offset by chunk base *)
               let result =
                 Array.to_list cs
                 |> List.mapi (fun c chunk ->
-                       (c, emit blk Types.i32 (Instr.FirstLane chunk)))
+                       (c, emit Types.i32 (Instr.FirstLane chunk)))
                 |> List.rev
                 |> List.fold_left
                      (fun acc (c, fl) ->
                        let found =
-                         emit blk Types.bool_
+                         emit Types.bool_
                            (Instr.Icmp (Instr.Sge, fl, Instr.ci32 0))
                        in
                        let adjusted =
-                         emit blk Types.i32
+                         emit Types.i32
                            (Instr.Ibin
                               (Instr.Add, fl, Instr.ci32 (c * lanes_per_chunk)))
                        in
-                       emit blk Types.i32 (Instr.Select (found, adjusted, acc)))
+                       emit Types.i32 (Instr.Select (found, adjusted, acc)))
                      (Instr.ci32 (-1))
               in
               Hashtbl.replace smap i.id result
@@ -213,133 +200,133 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
         | _ -> copy_scalar ())
     | Instr.Store (v, p) ->
         ignore
-          (emit blk Types.Void (Instr.Store (scalar_of v, scalar_of p)))
+          (emit Types.Void (Instr.Store (scalar_of v, scalar_of p)))
     | Instr.VStore (v, p, mask) ->
         let vty = oty v in
-        let cs = chunks_of_operand blk v ~ty:vty in
+        let cs = chunks_of_operand v ~ty:vty in
         let ms =
-          Option.map (fun m -> chunks_of_operand blk m ~ty:(oty m)) mask
+          Option.map (fun m -> chunks_of_operand m ~ty:(oty m)) mask
         in
         Array.iteri
           (fun c chunk ->
             let addr =
               if c = 0 then scalar_of p
               else
-                emit blk (oty p)
+                emit (oty p)
                   (Instr.Gep (scalar_of p, Instr.ci64 (c * lanes_per_chunk)))
             in
             ignore
-              (emit blk Types.Void
+              (emit Types.Void
                  (Instr.VStore (chunk, addr, Option.map (fun m -> m.(c)) ms))))
           cs
     | Instr.Scatter (v, base, idx, mask) ->
-        let cs = chunks_of_operand blk v ~ty:(oty v) in
-        let is = chunks_of_operand blk idx ~ty:(oty idx) in
-        let ms = Option.map (fun m -> chunks_of_operand blk m ~ty:(oty m)) mask in
+        let cs = chunks_of_operand v ~ty:(oty v) in
+        let is = chunks_of_operand idx ~ty:(oty idx) in
+        let ms = Option.map (fun m -> chunks_of_operand m ~ty:(oty m)) mask in
         Array.iteri
           (fun c chunk ->
             ignore
-              (emit blk Types.Void
+              (emit Types.Void
                  (Instr.Scatter
                     (chunk, scalar_of base, is.(c), Option.map (fun m -> m.(c)) ms))))
           cs
     | Instr.Call (name, args) when ty = Types.Void ->
-        ignore (emit blk Types.Void (Instr.Call (name, List.map scalar_of args)))
+        ignore (emit Types.Void (Instr.Call (name, List.map scalar_of args)))
     | Instr.VLoad (p, mask) ->
-        let ms = Option.map (fun m -> chunks_of_operand blk m ~ty:(oty m)) mask in
+        let ms = Option.map (fun m -> chunks_of_operand m ~ty:(oty m)) mask in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
                let addr =
                  if c = 0 then scalar_of p
                  else
-                   emit blk (oty p)
+                   emit (oty p)
                      (Instr.Gep (scalar_of p, Instr.ci64 (c * lanes_per_chunk)))
                in
-               emit blk (chunk_ty ty c)
+               emit (chunk_ty ty c)
                  (Instr.VLoad (addr, Option.map (fun m -> m.(c)) ms))))
     | Instr.Gather (base, idx, mask) ->
-        let is = chunks_of_operand blk idx ~ty:(oty idx) in
-        let ms = Option.map (fun m -> chunks_of_operand blk m ~ty:(oty m)) mask in
+        let is = chunks_of_operand idx ~ty:(oty idx) in
+        let ms = Option.map (fun m -> chunks_of_operand m ~ty:(oty m)) mask in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c)
+               emit (chunk_ty ty c)
                  (Instr.Gather
                     (scalar_of base, is.(c), Option.map (fun m -> m.(c)) ms))))
     | Instr.Splat (a, _) ->
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c)
+               emit (chunk_ty ty c)
                  (Instr.Splat (scalar_of a, Types.lanes (chunk_ty ty c)))))
     | Instr.Ibin (k, a, b2) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a)
-        and cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a)
+        and cb = chunks_of_operand b2 ~ty:(oty b2) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Ibin (k, ca.(c), cb.(c)))))
+               emit (chunk_ty ty c) (Instr.Ibin (k, ca.(c), cb.(c)))))
     | Instr.Fbin (k, a, b2) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a)
-        and cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a)
+        and cb = chunks_of_operand b2 ~ty:(oty b2) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Fbin (k, ca.(c), cb.(c)))))
+               emit (chunk_ty ty c) (Instr.Fbin (k, ca.(c), cb.(c)))))
     | Instr.Iun (k, a) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
+        let ca = chunks_of_operand a ~ty:(oty a) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Iun (k, ca.(c)))))
+               emit (chunk_ty ty c) (Instr.Iun (k, ca.(c)))))
     | Instr.Fun (k, a) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
+        let ca = chunks_of_operand a ~ty:(oty a) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Fun (k, ca.(c)))))
+               emit (chunk_ty ty c) (Instr.Fun (k, ca.(c)))))
     | Instr.Icmp (k, a, b2) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a)
-        and cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a)
+        and cb = chunks_of_operand b2 ~ty:(oty b2) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Icmp (k, ca.(c), cb.(c)))))
+               emit (chunk_ty ty c) (Instr.Icmp (k, ca.(c), cb.(c)))))
     | Instr.Fcmp (k, a, b2) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a)
-        and cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a)
+        and cb = chunks_of_operand b2 ~ty:(oty b2) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Fcmp (k, ca.(c), cb.(c)))))
+               emit (chunk_ty ty c) (Instr.Fcmp (k, ca.(c), cb.(c)))))
     | Instr.Select (c0, a, b2) ->
         let cc =
           match oty c0 with
-          | Types.Vec _ -> `V (chunks_of_operand blk c0 ~ty:(oty c0))
+          | Types.Vec _ -> `V (chunks_of_operand c0 ~ty:(oty c0))
           | _ -> `S (scalar_of c0)
         in
-        let ca = chunks_of_operand blk a ~ty:(oty a)
-        and cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a)
+        and cb = chunks_of_operand b2 ~ty:(oty b2) in
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
                let cond = match cc with `V m -> m.(c) | `S s -> s in
-               emit blk (chunk_ty ty c) (Instr.Select (cond, ca.(c), cb.(c)))))
+               emit (chunk_ty ty c) (Instr.Select (cond, ca.(c), cb.(c)))))
     | Instr.Cast (k, a, _) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
+        let ca = chunks_of_operand a ~ty:(oty a) in
         if Array.length ca <> nchunks then
           unsup "cast changes chunking (%d -> %d)" (Array.length ca) nchunks;
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
-               emit blk (chunk_ty ty c) (Instr.Cast (k, ca.(c), chunk_ty ty c))))
+               emit (chunk_ty ty c) (Instr.Cast (k, ca.(c), chunk_ty ty c))))
     | Instr.Phi incoming ->
         if Types.is_vector ty then
           Hashtbl.replace vmap i.id
             (Array.init nchunks (fun c ->
-                 emit blk (chunk_ty ty c)
+                 emit (chunk_ty ty c)
                    (Instr.Phi
                       (List.map (fun (l, _) -> (l, Instr.ci32 0)) incoming))))
           (* placeholders patched in a second pass (see below) *)
         else
           Hashtbl.replace smap i.id
-            (emit blk ty (Instr.Phi (List.map (fun (l, _) -> (l, Instr.ci32 0)) incoming)))
+            (emit ty (Instr.Phi (List.map (fun (l, _) -> (l, Instr.ci32 0)) incoming)))
     | Instr.Shuffle (a, b2, idx) ->
         (* general cross-chunk shuffle: build each output chunk lane by
            lane with extract/insert — the fully general (and costly)
            lowering, as on hardware without cross-register permutes *)
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
-        let cb = chunks_of_operand blk b2 ~ty:(oty b2) in
+        let ca = chunks_of_operand a ~ty:(oty a) in
+        let cb = chunks_of_operand b2 ~ty:(oty b2) in
         let n_in = Types.lanes (oty a) in
         let pick l =
           if l < n_in then (ca, l) else (cb, l - n_in)
@@ -350,7 +337,7 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                let cl = Types.lanes cty in
                let zero =
                  if Types.is_float cty then
-                   emit blk cty
+                   emit cty
                      (Instr.Splat (Instr.Const (Instr.Cfloat (Types.elem cty, 0.0)), cl))
                  else Instr.cvec (Types.elem cty) (Array.make cl 0L)
                in
@@ -361,10 +348,10 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                    let arr, g = pick src in
                    let sc = g / lanes_per_chunk and so = g mod lanes_per_chunk in
                    let v =
-                     emit blk (Types.Scalar (Types.elem cty))
+                     emit (Types.Scalar (Types.elem cty))
                        (Instr.ExtractLane (arr.(sc), Instr.ci32 so))
                    in
-                   acc := emit blk cty (Instr.InsertLane (!acc, v, Instr.ci32 l))
+                   acc := emit cty (Instr.InsertLane (!acc, v, Instr.ci32 l))
                  end
                done;
                !acc))
@@ -372,26 +359,26 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
         (* dynamic any-to-any exchange across registers: lower through a
            stack slot (spill the chunks, gather with the index vector) —
            the standard fallback when no cross-register permute exists *)
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
-        let is = chunks_of_operand blk idx ~ty:(oty idx) in
+        let ca = chunks_of_operand a ~ty:(oty a) in
+        let is = chunks_of_operand idx ~ty:(oty idx) in
         let s = Types.elem ty in
         let n = Types.lanes (oty a) in
-        let slot = emit blk (Types.Ptr s) (Instr.Alloca (s, n)) in
+        let slot = emit (Types.Ptr s) (Instr.Alloca (s, n)) in
         Array.iteri
           (fun c chunk ->
             let addr =
               if c = 0 then slot
               else
-                emit blk (Types.Ptr s)
+                emit (Types.Ptr s)
                   (Instr.Gep (slot, Instr.ci64 (c * lanes_per_chunk)))
             in
-            ignore (emit blk Types.Void (Instr.VStore (chunk, addr, None))))
+            ignore (emit Types.Void (Instr.VStore (chunk, addr, None))))
           ca;
         Hashtbl.replace vmap i.id
           (Array.init nchunks (fun c ->
                (* wrap indices modulo the lane count, as ShuffleDyn does *)
                let wrapped =
-                 emit blk (Func.ty_of_operand nf is.(c))
+                 emit (Func.ty_of_operand nf is.(c))
                    (Instr.Ibin
                       ( Instr.And,
                         is.(c),
@@ -401,55 +388,56 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                              (Types.lanes (Func.ty_of_operand nf is.(c)))
                              (Int64.of_int (n - 1))) ))
                in
-               emit blk (chunk_ty ty c) (Instr.Gather (slot, wrapped, None))))
+               emit (chunk_ty ty c) (Instr.Gather (slot, wrapped, None))))
     | Instr.Psadbw (a, b2) ->
-        let ca = chunks_of_operand blk a ~ty:(oty a) in
-        let cb = chunks_of_operand blk b2 ~ty:(oty b2) in
-        (* each u8 chunk yields lanes/8 i64 group sums; result chunking
-           follows the i64 lane capacity *)
-        let groups_per_chunk = Array.map (fun c -> Types.lanes (Func.ty_of_operand nf c) / 8) ca in
+        let ca = chunks_of_operand a ~ty:(oty a) in
+        let cb = chunks_of_operand b2 ~ty:(oty b2) in
+        (* each u8 chunk yields lanes/8 i64 group sums; a chunk that
+           splits an 8-byte group has no psadbw *)
+        let lanes_of c = Types.lanes (Func.ty_of_operand nf c) in
+        Array.iter
+          (fun c ->
+            if lanes_of c mod 8 <> 0 then
+              unsup "psadbw: a %d-lane chunk splits its 8-byte groups" (lanes_of c))
+          ca;
         let parts =
           Array.mapi
             (fun c chunk ->
-              emit blk (Types.Vec (Types.I64, groups_per_chunk.(c)))
-                (Instr.Psadbw (chunk, cb.(c))))
+              emit (Types.Vec (Types.I64, lanes_of chunk / 8)) (Instr.Psadbw (chunk, cb.(c))))
             ca
         in
-        (* concatenate the group-sum vectors into result chunks *)
-        let total_groups = Array.fold_left ( + ) 0 groups_per_chunk in
-        let out_lanes = min total_groups (machine_bits / 64) in
-        ignore out_lanes;
         if Array.length parts = 1 then Hashtbl.replace vmap i.id parts
         else begin
-          (* gather all group sums into one vector via extract/insert *)
-          let cty = Types.Vec (Types.I64, total_groups) in
-          let acc = ref (Instr.cvec Types.I64 (Array.make total_groups 0L)) in
-          let pos = ref 0 in
-          Array.iteri
-            (fun c part ->
-              for g = 0 to groups_per_chunk.(c) - 1 do
-                let v =
-                  emit blk Types.i64 (Instr.ExtractLane (part, Instr.ci32 g))
-                in
-                acc := emit blk cty (Instr.InsertLane (!acc, v, Instr.ci32 !pos));
-                incr pos
-              done)
-            parts;
-          Hashtbl.replace vmap i.id [| !acc |]
+          (* regroup the group sums into result chunks via extract/insert *)
+          let sums =
+            Array.concat
+              (Array.to_list
+                 (Array.map (fun part -> Array.init (lanes_of part) (fun g -> (part, g))) parts))
+          in
+          Hashtbl.replace vmap i.id
+            (Array.init nchunks (fun c ->
+                 let cty = chunk_ty ty c in
+                 let acc = ref (Instr.cvec Types.I64 (Array.make (Types.lanes cty) 0L)) in
+                 for l = 0 to Types.lanes cty - 1 do
+                   let part, g = sums.((c * lanes_per_chunk) + l) in
+                   let v = emit Types.i64 (Instr.ExtractLane (part, Instr.ci32 g)) in
+                   acc := emit cty (Instr.InsertLane (!acc, v, Instr.ci32 l))
+                 done;
+                 !acc))
         end
     | op -> unsup "legalize: %a" Printer.pp_op op
   in
   (* first pass: translate instructions *)
-  List.iter
-    (fun (b : Func.block) ->
-      let nb = nblock b.bname in
-      List.iter (fun i -> legalize_instr nb i) b.instrs;
-      nb.term <- Instr.map_term_operands scalar_of b.term)
+  List.iteri
+    (fun k (blk : Func.block) ->
+      if k > 0 then Builder.position b (Builder.add_block b blk.bname);
+      List.iter legalize_instr blk.instrs;
+      Builder.set_term b (Instr.map_term_operands scalar_of blk.term))
     f.blocks;
+  Builder.finish b;
   (* second pass: patch phi incomings now that all values are mapped *)
-  List.iter
-    (fun (b : Func.block) ->
-      let nb = nblock b.bname in
+  List.iter2
+    (fun (blk : Func.block) (nb : Func.block) ->
       List.iter
         (fun (i : Instr.instr) ->
           match i.op with
@@ -472,7 +460,7 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                                         (List.map
                                            (fun (l, v) ->
                                              ( l,
-                                               (chunks_of_operand nb v
+                                               (chunks_of_operand v
                                                   ~ty:(Func.ty_of_operand f v)).(c)
                                              ))
                                            incoming);
@@ -499,8 +487,8 @@ let legalize_func ?(lanes = 0) (f : Func.t) : Func.t =
                           nb.instrs
                   | _ -> ()))
           | _ -> ())
-        b.instrs)
-    f.blocks;
+        blk.instrs)
+    f.blocks nf.blocks;
   nf
 
 (** Largest vector lane count in a function (diagnostics / tests). *)

@@ -77,12 +77,10 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
     Pobs.Remarks.(emit Passed ~pass:"reclassify" ~func:f.Func.fname) fmt
   in
   let bound = max 1 opts.Options.stride_shuffle_bound in
+  (* rewrites are emitted into a detached block, then spliced in *)
+  let b = Builder.detached f in
   List.iter
     (fun (blk : Func.block) ->
-      let scratch : Func.block =
-        { bname = "$reclass"; instrs = []; term = Instr.Unreachable }
-      in
-      let b = { Builder.func = f; cur = scratch } in
       let rewrite (i : Instr.instr) : Instr.instr list option =
         (* common preconditions for both directions *)
         let attempt ~is_store p idxv (vty : Types.t) emit_unit emit_chunks
@@ -103,7 +101,6 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
                       | Some plan
                         when Psmt.Reclass.is_unit plan
                              || opts.Options.stride_shuffle_bound > 0 ->
-                          scratch.instrs <- [];
                           let origin_idx =
                             match origin with
                             | `Exact first ->
@@ -133,7 +130,7 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
                               (List.length plan.Psmt.Reclass.chunks)
                               kind
                           end;
-                          Some scratch.instrs
+                          Some (Builder.take b)
                       | _ -> None)
                   | None -> None)
               | _ -> None)
@@ -163,9 +160,8 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
             attempt ~is_store:false p idxv i.ty
               (fun origin_ptr ->
                 st.loads_packed <- st.loads_packed + 1;
-                scratch.instrs <-
-                  scratch.instrs
-                  @ [ { Instr.id = i.id; ty = i.ty; op = Instr.VLoad (origin_ptr, mask) } ])
+                Builder.append b
+                  { Instr.id = i.id; ty = i.ty; op = Instr.VLoad (origin_ptr, mask) })
               (fun origin_ptr plan ->
                 st.loads_shuffled <- st.loads_shuffled + 1;
                 let n = Types.lanes i.ty in
@@ -185,21 +181,19 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
                           else l)
                     in
                     acc := Some (Builder.shuffle b prev v idx))
-                  plan.Psmt.Reclass.chunks;
-                (* re-home the final combine on the original SSA id *)
-                match List.rev scratch.instrs with
-                | last :: rest ->
-                    scratch.instrs <-
-                      List.rev
-                        ({ last with Instr.id = i.id } :: rest)
-                | [] -> assert false)
+                  plan.Psmt.Reclass.chunks)
+            (* the final instruction (the packed load, or the last
+               shuffle's combine) takes over the gather's SSA id *)
+            |> Option.map (fun instrs ->
+                   match List.rev instrs with
+                   | last :: rest -> List.rev ({ last with Instr.id = i.id } :: rest)
+                   | [] -> assert false)
         | Instr.Scatter (v, p, idxv, mask) ->
             attempt ~is_store:true p idxv (Func.ty_of_operand f v)
               (fun origin_ptr ->
                 st.stores_packed <- st.stores_packed + 1;
-                scratch.instrs <-
-                  scratch.instrs
-                  @ [ { Instr.id = i.id; ty = Types.Void; op = Instr.VStore (v, origin_ptr, mask) } ])
+                Builder.append b
+                  { Instr.id = i.id; ty = Types.Void; op = Instr.VStore (v, origin_ptr, mask) })
               (fun origin_ptr plan ->
                 st.stores_shuffled <- st.stores_shuffled + 1;
                 let chunks = plan.Psmt.Reclass.chunks in
@@ -211,9 +205,8 @@ let run_func ?(opts = Options.default) (f : Func.t) : stats =
                     let perm = Array.map (fun l -> max l 0) inv in
                     let sv = Builder.shuffle b v v perm in
                     if j = nchunks - 1 then
-                      scratch.instrs <-
-                        scratch.instrs
-                        @ [ { Instr.id = i.id; ty = Types.Void; op = Instr.VStore (sv, cp, cm) } ]
+                      Builder.append b
+                        { Instr.id = i.id; ty = Types.Void; op = Instr.VStore (sv, cp, cm) }
                     else Builder.vstore b ?mask:cm sv cp)
                   chunks)
         | _ -> None

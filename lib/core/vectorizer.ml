@@ -783,18 +783,6 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
       (fun (i : Instr.instr) -> match i.op with Instr.Phi _ -> false | _ -> true)
       blk.instrs
   in
-  (* patch a previously created phi with additional incomings *)
-  let patch_phi (blk : Func.block) id extra =
-    blk.instrs <-
-      List.map
-        (fun (ins : Instr.instr) ->
-          if ins.id <> id then ins
-          else
-            match ins.op with
-            | Instr.Phi inc -> { ins with op = Instr.Phi (inc @ extra) }
-            | _ -> ins)
-        blk.instrs
-  in
   let var_of (o : Instr.operand) =
     match o with Instr.Var v -> v | Instr.Const _ -> -1
   in
@@ -1066,7 +1054,7 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
     Builder.br b hdr.bname;
     List.iter2
       (fun (phi : Instr.instr) upd ->
-        patch_phi hdr (var_of (mapped (Instr.Var phi.id))) [ (latch.bname, upd) ])
+        Builder.add_incoming b hdr (var_of (mapped (Instr.Var phi.id))) [ (latch.bname, upd) ])
       hphis upds;
     Builder.position b exitb
   and emit_masked_loop mask header cond body =
@@ -1150,12 +1138,12 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
     Builder.br b hdr.bname;
     List.iter2
       (fun (phi : Instr.instr) upd ->
-        patch_phi hdr (var_of (mapped (Instr.Var phi.id))) [ (latch.bname, upd) ])
+        Builder.add_incoming b hdr (var_of (mapped (Instr.Var phi.id))) [ (latch.bname, upd) ])
       hphis upds;
-    patch_phi hdr (var_of am) [ (latch.bname, am_next) ];
+    Builder.add_incoming b hdr (var_of am) [ (latch.bname, am_next) ];
     List.iter
       (fun (_, acc, acc_next) ->
-        patch_phi hdr (var_of acc) [ (latch.bname, acc_next) ])
+        Builder.add_incoming b hdr (var_of acc) [ (latch.bname, acc_next) ])
       acc_nexts;
     Builder.position b exitb;
     (* after the loop, uses of header values see the exit-blended copies *)
@@ -1181,6 +1169,7 @@ let vectorize_func ?(opts = Options.default) (f : Func.t) : Func.t * report =
   in
   emit_regions entry_mask info.Pshapes.Shapes.regions;
   Builder.ret_void b;
+  Builder.finish b;
   rpassed
     "function vectorized at gang %d: %d vector / %d scalar-kept instr(s), \
      branches %d kept / %d linearized, loops %d uniform / %d masked"

@@ -945,16 +945,7 @@ and lower_stmt ctx env (s : stmt) : value Env.t =
           let phi_id =
             match phi_op with Pir.Instr.Var v -> v | _ -> assert false
           in
-          hdr.instrs <-
-            List.map
-              (fun (ins : Pir.Instr.instr) ->
-                if ins.id = phi_id then
-                  match ins.op with
-                  | Pir.Instr.Phi inc ->
-                      { ins with op = Pir.Instr.Phi (inc @ [ (latch.bname, latch_val) ]) }
-                  | _ -> ins
-                else ins)
-              hdr.instrs)
+          Builder.add_incoming ctx.b hdr phi_id [ (latch.bname, latch_val) ])
         assigned;
       Builder.position ctx.b bexit;
       env_h
@@ -1053,6 +1044,7 @@ and lower_psim ctx env ~gang_size ~num_threads ~body pos : value Env.t =
     in
     ignore (lower_stmts ectx eenv body);
     Builder.ret_void eb;
+    Builder.finish eb;
     Pir.Func.add_func ctx.modul ef;
     ef
   in
@@ -1086,17 +1078,7 @@ and lower_psim ctx env ~gang_size ~num_threads ~body pos : value Env.t =
     let latch = Builder.current ctx.b in
     Builder.br ctx.b ghdr.bname;
     (match gi with
-    | Pir.Instr.Var phi_id ->
-        ghdr.instrs <-
-          List.map
-            (fun (ins : Pir.Instr.instr) ->
-              if ins.id = phi_id then
-                match ins.op with
-                | Pir.Instr.Phi inc ->
-                    { ins with op = Pir.Instr.Phi (inc @ [ (latch.bname, gi') ]) }
-                | _ -> ins
-              else ins)
-            ghdr.instrs
+    | Pir.Instr.Var phi_id -> Builder.add_incoming ctx.b ghdr phi_id [ (latch.bname, gi') ]
     | _ -> assert false);
     Builder.position ctx.b gexit
   in
@@ -1200,6 +1182,7 @@ let lower_func ~prog ~modul ~extract_counter (f : Ast.func) : unit =
   | Pir.Instr.Unreachable ->
       err no_pos "function %s must end with a return" f.fname
   | _ -> ());
+  Builder.finish b;
   Pir.Func.add_func modul pf
 
 (** Compile a PsimC source string to a PIR module: desugar, inline,

@@ -1,28 +1,76 @@
 (** Convenience layer for constructing PIR functions.
 
-    A builder owns a current insertion block; every [ins]ert returns the
-    operand naming the new value.  Result types are inferred from the
-    operands where the operation determines them, and must be supplied
-    explicitly otherwise (loads, casts, calls). *)
+    Emission is constant-time.  The open block's new instructions stay in
+    the builder, newest first, until the builder leaves the block
+    ([position], [current], [take]), and the blocks it adds stay in the
+    builder until [finish] appends them to the function.  Every block the
+    builder has left holds its instructions in order; the function is
+    complete after [finish]. *)
 
 open Instr
 
-type t = { func : Func.t; mutable cur : Func.block }
+type t = {
+  func : Func.t;
+  mutable cur : Func.block;
+  mutable pending : instr list;  (** new instructions of [cur], newest first *)
+  mutable added : Func.block list;  (** blocks not yet in [func], newest first *)
+}
 
-(** Create a builder for [func], creating and entering its entry block. *)
+let new_block name : Func.block = { bname = name; instrs = []; term = Unreachable }
+
+(* move the open block's pending instructions into the block *)
+let close t =
+  match t.pending with
+  | [] -> ()
+  | pending ->
+      t.cur.instrs <-
+        (match t.cur.instrs with
+        | [] -> List.rev pending
+        | old -> old @ List.rev pending);
+      t.pending <- []
+
 let create ?(entry = "entry") func =
-  let b : Func.block = { bname = entry; instrs = []; term = Unreachable } in
-  func.Func.blocks <- func.Func.blocks @ [ b ];
-  { func; cur = b }
+  let b = new_block entry in
+  { func; cur = b; pending = []; added = [ b ] }
 
-(** Append a fresh (empty, [Unreachable]-terminated) block. *)
+let detached func = { func; cur = new_block "$detached"; pending = []; added = [] }
+
 let add_block t name =
-  let b : Func.block = { bname = name; instrs = []; term = Unreachable } in
-  t.func.Func.blocks <- t.func.Func.blocks @ [ b ];
+  let b = new_block name in
+  t.added <- b :: t.added;
   b
 
-let position t b = t.cur <- b
-let current t = t.cur
+let finish t =
+  close t;
+  match t.added with
+  | [] -> ()
+  | added ->
+      t.func.Func.blocks <- t.func.Func.blocks @ List.rev added;
+      t.added <- []
+
+let position t b =
+  close t;
+  t.cur <- b
+
+let current t =
+  close t;
+  t.cur
+
+let take t =
+  close t;
+  let instrs = t.cur.instrs in
+  t.cur.instrs <- [];
+  instrs
+
+let add_incoming t (blk : Func.block) id extra =
+  if blk == t.cur then close t;
+  blk.instrs <-
+    List.map
+      (fun (i : instr) ->
+        match i.op with
+        | Phi inc when i.id = id -> { i with op = Phi (inc @ extra) }
+        | _ -> i)
+      blk.instrs
 
 let mk_name =
   let counters : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
@@ -38,28 +86,25 @@ let mk_name =
     incr r;
     Fmt.str "%s%d" prefix !r
 
-(** Fresh uniquely-named block. *)
 let fresh_block t prefix = add_block t (mk_name (prefix ^ "."))
-
 let ty_of t o = Func.ty_of_operand t.func o
+let append t i = t.pending <- i :: t.pending
 
-(** Insert an instruction with result type [ty]; returns its value. *)
 let ins t ty op =
   let id = Func.fresh_id t.func in
   Func.set_ty t.func id ty;
-  t.cur.instrs <- t.cur.instrs @ [ { id; ty; op } ];
+  append t { id; ty; op };
   Var id
 
-(** Insert a side-effect-only instruction (result [Void]). *)
 let ins_unit t op = ignore (ins t Types.Void op)
 
 (* -- terminators -- *)
 
-let br t l = t.cur.term <- Br l
-let condbr t c l1 l2 = t.cur.term <- CondBr (c, l1, l2)
-let ret t r = t.cur.term <- Ret r
-let ret_void t = t.cur.term <- Ret None
-
+let set_term t term = t.cur.term <- term
+let br t l = set_term t (Br l)
+let condbr t c l1 l2 = set_term t (CondBr (c, l1, l2))
+let ret t r = set_term t (Ret r)
+let ret_void t = set_term t (Ret None)
 (* -- typed helpers -- *)
 
 let ibin t k a b = ins t (ty_of t a) (Ibin (k, a, b))

@@ -18,6 +18,14 @@
     base), and speculation on loop-carried values is recomputed until a
     fixpoint, as the paper describes.
 
+    The fixpoint is sparse.  It visits instructions in passes over block
+    order, each pass seeing the updates of the instructions before it,
+    but a pass re-runs an instruction's transfer only when one of its
+    operands changed after its last transfer (or, for a phi, when fact
+    widening switches on after pass 6).  Transfers are pure, so a
+    skipped transfer would have changed nothing, and every pass ends in
+    the state a full sweep would reach.
+
     Divergence constraints are folded in through the region tree:
 
     - phis at the join of a varying-condition [if] become [Varying]
@@ -83,8 +91,7 @@ let join_shape a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
   | Known Varying, _ | _, Known Varying -> Known Varying
-  | Known (Indexed x), Known (Indexed y) ->
-      if x = y then Known (Indexed x) else Known Varying
+  | Known (Indexed x), Known (Indexed y) -> if x = y then a else Known Varying
 
 let width_of_ty (ty : Pir.Types.t) =
   match ty with
@@ -94,319 +101,346 @@ let width_of_ty (ty : Pir.Types.t) =
 
 exception Not_spmd of string
 
+(* Passes of one dataflow run: fact widening switches on after
+   [widen_after], and a run that still changes after [max_passes] is
+   abandoned (everything varying).  At most [max_rounds] forcing rounds
+   follow the first run. *)
+let widen_after = 6
+let max_passes = 60
+let max_rounds = 20
+
 (** Analyze an SPMD-annotated scalar function. *)
 let analyze (f : Pir.Func.t) : info =
+  let open Pir.Instr in
   let gang =
     match f.spmd with
     | Some s -> s.Pir.Func.gang_size
     | None -> raise (Not_spmd f.fname)
   in
   let regions = Panalysis.Regions.of_func f in
-  let alloca_rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let info =
-    {
-      gang;
-      shapes = Hashtbl.create 64;
-      facts = Hashtbl.create 64;
-      rule_hits = Hashtbl.create 16;
-      regions;
-      alloca_rooted;
-    }
+  (* every all-zero offset vector is this one; nothing mutates offsets *)
+  let uniform_shape = uniform gang in
+  let uniform_cell = Known uniform_shape in
+  let is_zero o = Array.for_all (fun x -> x = 0L) o in
+  (* positions: the value-producing instructions, in block order *)
+  let defs =
+    Pir.Func.fold_instrs f [] (fun acc _ i ->
+        if i.ty <> Pir.Types.Void then i :: acc else acc)
+    |> List.rev |> Array.of_list
   in
-  let cells : (int, cell) Hashtbl.t = Hashtbl.create 64 in
-  let fcts : (int, Psmt.Facts.t) Hashtbl.t = Hashtbl.create 64 in
-  let forced : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let cell_of_operand (o : Pir.Instr.operand) =
-    match o with
-    | Pir.Instr.Const _ -> Known (uniform gang)
-    | Pir.Instr.Var v -> Option.value ~default:Bot (Hashtbl.find_opt cells v)
-  in
-  let facts_of_operand (o : Pir.Instr.operand) =
-    match o with
-    | Pir.Instr.Const (Pir.Instr.Cint (s, v)) ->
-        Psmt.Facts.of_const (Pir.Types.scalar_bits s) v
-    | Pir.Instr.Const _ -> Psmt.Facts.top
-    | Pir.Instr.Var v -> Option.value ~default:Psmt.Facts.top (Hashtbl.find_opt fcts v)
-  in
-  (* parameters: thread-invariant by construction (captured by the
-     front-end, identical for every thread of the gang) *)
-  List.iter
-    (fun (v, _) ->
-      Hashtbl.replace cells v (Known (uniform gang));
-      Hashtbl.replace fcts v Psmt.Facts.top)
-    f.params;
-  let widen_mode = ref false in
-  let is_uniform_cell = function Known s -> is_uniform s | Bot -> false in
-  let () =
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Pir.Func.iter_instrs f (fun _ i ->
-          if not (Hashtbl.mem alloca_rooted i.Pir.Instr.id) then
-            match i.Pir.Instr.op with
-            | Pir.Instr.Alloca _ ->
-                Hashtbl.replace alloca_rooted i.Pir.Instr.id ();
-                changed := true
-            | Pir.Instr.Gep (Pir.Instr.Var p, _) when Hashtbl.mem alloca_rooted p ->
-                Hashtbl.replace alloca_rooted i.Pir.Instr.id ();
-                changed := true
-            | _ -> ())
-    done
-  in
-  let is_alloca_rooted (o : Pir.Instr.operand) =
-    match o with
-    | Pir.Instr.Var v -> Hashtbl.mem alloca_rooted v
-    | _ -> false
-  in
-  (* transfer function: shape and base-facts of one instruction *)
-  let transfer (i : Pir.Instr.instr) : cell * Psmt.Facts.t =
-    let open Pir.Instr in
-    let w = width_of_ty i.ty in
-    let var_forced = Hashtbl.mem forced i.id in
-    let res =
-      match i.op with
-      | Ibin (k, a, b) -> (
-          match (cell_of_operand a, cell_of_operand b) with
-          | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
-          | Known Varying, _ | _, Known Varying ->
-              (Known Varying, Psmt.Facts.top)
-          | Known (Indexed oa), Known (Indexed ob) -> (
-              let arg_a = { Psmt.Rules.offsets = oa; facts = facts_of_operand a } in
-              let arg_b = { Psmt.Rules.offsets = ob; facts = facts_of_operand b } in
-              let fr = Psmt.Facts.ibin k w arg_a.facts arg_b.facts in
-              match Psmt.Rules.try_apply ~w k arg_a arg_b with
-              | Some (rule, offsets) ->
-                  Hashtbl.replace info.rule_hits rule
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt info.rule_hits rule));
-                  (Known (Indexed (Array.map (Pir.Ints.norm w) offsets)), fr)
-              | None ->
-                  (* no rule: still fine if both operands are uniform —
-                     the same scalar op on the bases is the value *)
-                  if Array.for_all (fun x -> x = 0L) oa && Array.for_all (fun x -> x = 0L) ob
-                  then (Known (uniform gang), fr)
-                  else (Known Varying, Psmt.Facts.top)))
-      | Iun (k, a) -> (
-          match cell_of_operand a with
-          | Bot -> (Bot, Psmt.Facts.top)
-          | Known Varying -> (Known Varying, Psmt.Facts.top)
-          | Known (Indexed oa) -> (
-              match k with
-              | INot | INeg ->
-                  (* not(b+o) = not(b) + (-o); neg(b+o) = neg(b) + (-o) *)
-                  ( Known (Indexed (Array.map (fun o -> Pir.Ints.neg w o) oa)),
-                    Psmt.Facts.top )
-              | _ ->
-                  if Array.for_all (fun x -> x = 0L) oa then
-                    (Known (uniform gang), Psmt.Facts.top)
-                  else (Known Varying, Psmt.Facts.top)))
-      | Fbin (_, a, b) | Fcmp (_, a, b) -> (
-          match (cell_of_operand a, cell_of_operand b) with
-          | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
-          | Known sa, Known sb ->
-              if is_uniform sa && is_uniform sb then
-                (Known (uniform gang), Psmt.Facts.top)
-              else (Known Varying, Psmt.Facts.top))
-      | Fun (_, a) -> (
-          match cell_of_operand a with
-          | Bot -> (Bot, Psmt.Facts.top)
-          | Known s ->
-              if is_uniform s then (Known (uniform gang), Psmt.Facts.top)
-              else (Known Varying, Psmt.Facts.top))
-      | Icmp (_, a, b) -> (
-          match (cell_of_operand a, cell_of_operand b) with
-          | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
-          | Known sa, Known sb ->
-              if is_uniform sa && is_uniform sb then
-                (Known (uniform gang), Psmt.Facts.top)
-              else (Known Varying, Psmt.Facts.top))
-      | Select (c, a, b) -> (
-          match (cell_of_operand c, cell_of_operand a, cell_of_operand b) with
-          | Bot, _, _ | _, Bot, _ | _, _, Bot -> (Bot, Psmt.Facts.top)
-          | Known sc, Known sa, Known sb ->
-              if is_uniform sc then
-                match join_shape (Known sa) (Known sb) with
-                | Known (Indexed o) ->
-                    ( Known (Indexed o),
-                      Psmt.Facts.join (facts_of_operand a) (facts_of_operand b) )
-                | s -> (s, Psmt.Facts.top)
-              else (Known Varying, Psmt.Facts.top))
-      | Cast (k, a, _) -> (
-          match cell_of_operand a with
-          | Bot -> (Bot, Psmt.Facts.top)
-          | Known Varying -> (Known Varying, Psmt.Facts.top)
-          | Known (Indexed oa) -> (
-              let src_w = width_of_ty (Pir.Func.ty_of_operand f a) in
-              let fa = facts_of_operand a in
-              let fr = Psmt.Facts.cast k ~ws:src_w ~wd:w fa in
-              match k with
-              | Trunc ->
-                  (* modular arithmetic: offsets renormalize at the
-                     destination width, unconditionally sound *)
-                  (Known (Indexed (Array.map (Pir.Ints.norm w) oa)), fr)
-              | ZExt ->
-                  (* sound when base + max offset cannot wrap at the
-                     source width *)
-                  let max_off = Psmt.Rules.max_offset src_w oa in
-                  if Psmt.Facts.max_plus_fits fa max_off src_w then
-                    (Known (Indexed oa), fr)
-                  else if Array.for_all (fun x -> x = 0L) oa then
-                    (Known (uniform gang), fr)
-                  else (Known Varying, Psmt.Facts.top)
-              | SExt ->
-                  (* sound when base + max offset stays in the
-                     non-negative signed range at the source width *)
-                  let max_off = Psmt.Rules.max_offset src_w oa in
-                  if Psmt.Facts.max_plus_fits fa max_off (src_w - 1) then
-                    (Known (Indexed oa), fr)
-                  else if Array.for_all (fun x -> x = 0L) oa then
-                    (Known (uniform gang), fr)
-                  else (Known Varying, Psmt.Facts.top)
-              | _ ->
-                  if Array.for_all (fun x -> x = 0L) oa then
-                    (Known (uniform gang), Psmt.Facts.top)
-                  else (Known Varying, Psmt.Facts.top)))
-      | Alloca (s, _) ->
-          (* private per-thread storage is laid out struct-of-arrays
-             (element j of thread i lives at base + (j*G + i) * esz), so
-             accesses at a uniform index are packed loads/stores — the
-             swizzling ispc performs on varying arrays (paper §4.2.3
-             notes AoS layouts would gather/scatter) *)
-          let esz = Pir.Types.scalar_bytes s in
-          ( Known (Indexed (Array.init gang (fun i -> Int64.of_int (i * esz)))),
-            { Psmt.Facts.top with Psmt.Facts.align = 6 } )
-      | Gep (p, idx) when is_alloca_rooted p -> (
-          (* SoA addressing: uniform indices preserve the lane-strided
-             shape; anything else needs per-lane addresses *)
-          match (cell_of_operand p, cell_of_operand idx) with
-          | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
-          | Known (Indexed op_), Known s when is_uniform s ->
-              (Known (Indexed op_), Psmt.Facts.top)
-          | _ -> (Known Varying, Psmt.Facts.top))
-      | Gep (p, idx) -> (
-          match (cell_of_operand p, cell_of_operand idx) with
-          | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
-          | Known (Indexed op_), Known (Indexed oi) ->
-              let esz =
-                match Pir.Func.ty_of_operand f p with
-                | Pir.Types.Ptr s -> Int64.of_int (Pir.Types.scalar_bytes s)
-                | _ -> 1L
-              in
-              (* pointer offsets are tracked in bytes *)
-              ( Known
-                  (Indexed
-                     (Array.init gang (fun l ->
-                          Pir.Ints.add 64 op_.(l) (Int64.mul oi.(l) esz)))),
-                Psmt.Facts.top )
-          | _ -> (Known Varying, Psmt.Facts.top))
-      | Load p -> (
-          match cell_of_operand p with
-          | Bot -> (Bot, Psmt.Facts.top)
-          | Known s when is_uniform s ->
-              (* same address in every thread: stays a scalar load *)
-              (Known (uniform gang), Psmt.Facts.top)
-          | Known _ -> (Known Varying, Psmt.Facts.top))
-      | Store _ | VStore _ | Scatter _ -> (Known (uniform gang), Psmt.Facts.top)
-      | Call (name, args) ->
-          if name = Pir.Intrinsics.lane_num then
-            (Known (lane_iota gang), Psmt.Facts.of_const 64 0L)
-          else if name = Pir.Intrinsics.gang_sync then
-            (Known (uniform gang), Psmt.Facts.top)
-          else if
-            Pir.Intrinsics.is_math name
-            && List.for_all (fun a -> is_uniform_cell (cell_of_operand a)) args
-          then (Known (uniform gang), Psmt.Facts.top)
-          else if
-            Pir.Intrinsics.is_math name
-            && List.exists (fun a -> cell_of_operand a = Bot) args
-          then (Bot, Psmt.Facts.top)
-          else (Known Varying, Psmt.Facts.top)
-      | Phi incoming ->
-          let c =
-            List.fold_left
-              (fun acc (_, o) -> join_shape acc (cell_of_operand o))
-              Bot incoming
-          in
-          let fr =
-            List.fold_left
-              (fun acc (_, o) ->
-                match acc with
-                | None -> Some (facts_of_operand o)
-                | Some fs -> Some (Psmt.Facts.join fs (facts_of_operand o)))
-              None incoming
-            |> Option.value ~default:Psmt.Facts.top
-          in
-          let fr = if !widen_mode then Psmt.Facts.widen fr else fr in
-          (c, fr)
-      | Splat _ | VLoad _ | Gather _ | Shuffle _ | ShuffleDyn _ | ExtractLane _
-      | InsertLane _ | Reduce _ | FirstLane _ | Psadbw _ ->
-          (* explicit vector operations only appear in already-vectorized
-             code; treat as varying if they somehow occur *)
-          (Known Varying, Psmt.Facts.top)
-    in
-    if var_forced then (Known Varying, Psmt.Facts.top) else res
-  in
-  (* one dataflow run to fixpoint under the current forcing set *)
-  let run_dataflow () =
-    Hashtbl.reset cells;
-    Hashtbl.reset fcts;
+  let npos = Array.length defs in
+  (* dense per-SSA-id state, sized by the largest id in use: nothing
+     enforces [next_id] on hand-built IR *)
+  let nids =
+    let m = ref (f.next_id - 1) in
+    let see = function Var v -> m := max !m v | Const _ -> () in
+    List.iter (fun (v, _) -> m := max !m v) f.params;
     List.iter
-      (fun (v, _) ->
-        Hashtbl.replace cells v (Known (uniform gang));
-        Hashtbl.replace fcts v Psmt.Facts.top)
-      f.params;
+      (fun (b : Pir.Func.block) ->
+        List.iter
+          (fun i ->
+            m := max !m i.id;
+            List.iter see (operands_of_op i.op))
+          b.instrs;
+        List.iter see (operands_of_term b.term))
+      f.blocks;
+    !m + 1
+  in
+  let cells = Array.make nids Bot in
+  let fcts = Array.make nids Psmt.Facts.top in
+  let forced = Array.make nids false in
+  (* users.(v): positions whose transfer reads v *)
+  let users = Array.make nids [] in
+  Array.iteri
+    (fun pos i ->
+      List.iter (fun v -> users.(v) <- pos :: users.(v)) (uses_of_op i.op))
+    defs;
+  (* pointers rooted at an alloca: allocas and geps off rooted pointers *)
+  let rooted = Array.make nids false in
+  let rec root v =
+    if not rooted.(v) then begin
+      rooted.(v) <- true;
+      List.iter
+        (fun pos ->
+          match defs.(pos).op with
+          | Gep (Var p, _) when p = v -> root defs.(pos).id
+          | _ -> ())
+        users.(v)
+    end
+  in
+  Array.iter (fun i -> match i.op with Alloca _ -> root i.id | _ -> ()) defs;
+  let is_alloca_rooted = function Var v -> rooted.(v) | Const _ -> false in
+  let cell_of_operand = function Const _ -> uniform_cell | Var v -> cells.(v) in
+  let facts_of_operand = function
+    | Const (Cint (s, v)) -> Psmt.Facts.of_const (Pir.Types.scalar_bits s) v
+    | Const _ -> Psmt.Facts.top
+    | Var v -> fcts.(v)
+  in
+  let is_uniform_cell = function Known s -> is_uniform s | Bot -> false in
+  let widen_mode = ref false in
+  (* the rule that fired in each position's last transfer *)
+  let last_rule = Array.make npos None in
+  (* transfer function: shape and base-facts of one instruction *)
+  let transfer pos (i : instr) : cell * Psmt.Facts.t =
+    let w = width_of_ty i.ty in
+    match i.op with
+    | Ibin (k, a, b) -> (
+        match (cell_of_operand a, cell_of_operand b) with
+        | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
+        | Known Varying, _ | _, Known Varying -> (Known Varying, Psmt.Facts.top)
+        | Known (Indexed oa), Known (Indexed ob) -> (
+            let arg_a = { Psmt.Rules.offsets = oa; facts = facts_of_operand a } in
+            let arg_b = { Psmt.Rules.offsets = ob; facts = facts_of_operand b } in
+            let fr = Psmt.Facts.ibin k w arg_a.facts arg_b.facts in
+            match Psmt.Rules.try_apply ~w k arg_a arg_b with
+            | Some (rule, offsets) ->
+                last_rule.(pos) <- Some rule;
+                (Known (Indexed (Array.map (Pir.Ints.norm w) offsets)), fr)
+            | None ->
+                (* no rule: still fine if both operands are uniform —
+                   the same scalar op on the bases is the value *)
+                if is_zero oa && is_zero ob then (uniform_cell, fr)
+                else (Known Varying, Psmt.Facts.top)))
+    | Iun (k, a) -> (
+        match cell_of_operand a with
+        | Bot -> (Bot, Psmt.Facts.top)
+        | Known Varying -> (Known Varying, Psmt.Facts.top)
+        | Known (Indexed oa) -> (
+            match k with
+            | INot | INeg ->
+                (* not(b+o) = not(b) + (-o); neg(b+o) = neg(b) + (-o) *)
+                ( Known (Indexed (Array.map (fun o -> Pir.Ints.neg w o) oa)),
+                  Psmt.Facts.top )
+            | _ ->
+                if is_zero oa then (uniform_cell, Psmt.Facts.top)
+                else (Known Varying, Psmt.Facts.top)))
+    | Fbin (_, a, b) | Fcmp (_, a, b) | Icmp (_, a, b) -> (
+        match (cell_of_operand a, cell_of_operand b) with
+        | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
+        | Known sa, Known sb ->
+            if is_uniform sa && is_uniform sb then (uniform_cell, Psmt.Facts.top)
+            else (Known Varying, Psmt.Facts.top))
+    | Fun (_, a) -> (
+        match cell_of_operand a with
+        | Bot -> (Bot, Psmt.Facts.top)
+        | Known s ->
+            if is_uniform s then (uniform_cell, Psmt.Facts.top)
+            else (Known Varying, Psmt.Facts.top))
+    | Select (c, a, b) -> (
+        match (cell_of_operand c, cell_of_operand a, cell_of_operand b) with
+        | Bot, _, _ | _, Bot, _ | _, _, Bot -> (Bot, Psmt.Facts.top)
+        | Known sc, ca, cb ->
+            if is_uniform sc then
+              match join_shape ca cb with
+              | Known (Indexed _) as s ->
+                  (s, Psmt.Facts.join (facts_of_operand a) (facts_of_operand b))
+              | s -> (s, Psmt.Facts.top)
+            else (Known Varying, Psmt.Facts.top))
+    | Cast (k, a, _) -> (
+        match cell_of_operand a with
+        | Bot -> (Bot, Psmt.Facts.top)
+        | Known Varying -> (Known Varying, Psmt.Facts.top)
+        | Known (Indexed oa) as ca -> (
+            let src_w = width_of_ty (Pir.Func.ty_of_operand f a) in
+            let fa = facts_of_operand a in
+            let fr = Psmt.Facts.cast k ~ws:src_w ~wd:w fa in
+            match k with
+            | Trunc ->
+                (* modular arithmetic: offsets renormalize at the
+                   destination width, unconditionally sound *)
+                (Known (Indexed (Array.map (Pir.Ints.norm w) oa)), fr)
+            | ZExt ->
+                (* sound when base + max offset cannot wrap at the
+                   source width *)
+                let max_off = Psmt.Rules.max_offset src_w oa in
+                if Psmt.Facts.max_plus_fits fa max_off src_w then (ca, fr)
+                else if is_zero oa then (uniform_cell, fr)
+                else (Known Varying, Psmt.Facts.top)
+            | SExt ->
+                (* sound when base + max offset stays in the
+                   non-negative signed range at the source width *)
+                let max_off = Psmt.Rules.max_offset src_w oa in
+                if Psmt.Facts.max_plus_fits fa max_off (src_w - 1) then (ca, fr)
+                else if is_zero oa then (uniform_cell, fr)
+                else (Known Varying, Psmt.Facts.top)
+            | _ ->
+                if is_zero oa then (uniform_cell, Psmt.Facts.top)
+                else (Known Varying, Psmt.Facts.top)))
+    | Alloca (s, _) ->
+        (* private per-thread storage is laid out struct-of-arrays
+           (element j of thread i lives at base + (j*G + i) * esz), so
+           accesses at a uniform index are packed loads/stores — the
+           swizzling ispc performs on varying arrays (paper §4.2.3
+           notes AoS layouts would gather/scatter) *)
+        let esz = Pir.Types.scalar_bytes s in
+        ( Known (Indexed (Array.init gang (fun i -> Int64.of_int (i * esz)))),
+          { Psmt.Facts.top with Psmt.Facts.align = 6 } )
+    | Gep (p, idx) when is_alloca_rooted p -> (
+        (* SoA addressing: uniform indices preserve the lane-strided
+           shape; anything else needs per-lane addresses *)
+        match (cell_of_operand p, cell_of_operand idx) with
+        | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
+        | (Known (Indexed _) as cp), Known s when is_uniform s -> (cp, Psmt.Facts.top)
+        | _ -> (Known Varying, Psmt.Facts.top))
+    | Gep (p, idx) -> (
+        match (cell_of_operand p, cell_of_operand idx) with
+        | Bot, _ | _, Bot -> (Bot, Psmt.Facts.top)
+        | Known (Indexed op_), Known (Indexed oi) ->
+            let esz =
+              match Pir.Func.ty_of_operand f p with
+              | Pir.Types.Ptr s -> Int64.of_int (Pir.Types.scalar_bytes s)
+              | _ -> 1L
+            in
+            (* pointer offsets are tracked in bytes *)
+            ( Known
+                (Indexed
+                   (Array.init gang (fun l ->
+                        Pir.Ints.add 64 op_.(l) (Int64.mul oi.(l) esz)))),
+              Psmt.Facts.top )
+        | _ -> (Known Varying, Psmt.Facts.top))
+    | Load p -> (
+        match cell_of_operand p with
+        | Bot -> (Bot, Psmt.Facts.top)
+        | Known s when is_uniform s ->
+            (* same address in every thread: stays a scalar load *)
+            (uniform_cell, Psmt.Facts.top)
+        | Known _ -> (Known Varying, Psmt.Facts.top))
+    | Store _ | VStore _ | Scatter _ -> (uniform_cell, Psmt.Facts.top)
+    | Call (name, args) ->
+        if name = Pir.Intrinsics.lane_num then
+          (Known (lane_iota gang), Psmt.Facts.of_const 64 0L)
+        else if name = Pir.Intrinsics.gang_sync then (uniform_cell, Psmt.Facts.top)
+        else if
+          Pir.Intrinsics.is_math name
+          && List.for_all (fun a -> is_uniform_cell (cell_of_operand a)) args
+        then (uniform_cell, Psmt.Facts.top)
+        else if
+          Pir.Intrinsics.is_math name
+          && List.exists (fun a -> cell_of_operand a = Bot) args
+        then (Bot, Psmt.Facts.top)
+        else (Known Varying, Psmt.Facts.top)
+    | Phi incoming ->
+        let c =
+          List.fold_left (fun acc (_, o) -> join_shape acc (cell_of_operand o)) Bot incoming
+        in
+        let fr =
+          match incoming with
+          | [] -> Psmt.Facts.top
+          | (_, o) :: rest ->
+              List.fold_left
+                (fun fs (_, o) -> Psmt.Facts.join fs (facts_of_operand o))
+                (facts_of_operand o) rest
+        in
+        (c, if !widen_mode then Psmt.Facts.widen fr else fr)
+    | Splat _ | VLoad _ | Gather _ | Shuffle _ | ShuffleDyn _ | ExtractLane _
+    | InsertLane _ | Reduce _ | FirstLane _ | Psadbw _ ->
+        (* explicit vector operations only appear in already-vectorized
+           code; treat as varying if they somehow occur *)
+        (Known Varying, Psmt.Facts.top)
+  in
+  let phi_positions =
+    List.filter (fun pos -> match defs.(pos).op with Phi _ -> true | _ -> false)
+      (List.init npos Fun.id)
+  in
+  (* the worklist: a min-heap of [pass * npos + position], so a pass
+     visits its instructions in block order.  A position is queued at
+     most once per pass, and only the current and the next pass are
+     ever queued. *)
+  let heap = Array.make ((2 * npos) + 1) 0 in
+  let hsize = ref 0 in
+  let queued = Array.make npos (-1) in
+  let push key =
+    let i = ref !hsize in
+    incr hsize;
+    while !i > 0 && heap.((!i - 1) / 2) > key do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- key
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr hsize;
+    let key = heap.(!hsize) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < !hsize && heap.(l + 1) < heap.(l) then l + 1 else l in
+      if c < !hsize && heap.(c) < key then begin
+        heap.(!i) <- heap.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    heap.(!i) <- key;
+    top
+  in
+  let enqueue pass pos =
+    let key = (pass * npos) + pos in
+    if queued.(pos) <> key then begin
+      queued.(pos) <- key;
+      push key
+    end
+  in
+  (* one dataflow run to fixpoint from bottom, under the current forcing
+     set; every position is transferred in pass 1 *)
+  let run_dataflow () =
+    Array.fill cells 0 nids Bot;
+    Array.fill fcts 0 nids Psmt.Facts.top;
+    List.iter (fun (v, _) -> cells.(v) <- uniform_cell) f.params;
+    Array.fill queued 0 npos (-1);
+    hsize := 0;
+    for pos = 0 to npos - 1 do
+      enqueue 1 pos
+    done;
     let pass = ref 0 in
     let changed = ref true in
-    while !changed && !pass < 60 do
+    while !changed && !pass < max_passes do
       incr pass;
-      widen_mode := !pass > 6;
+      widen_mode := !pass > widen_after;
       changed := false;
-      List.iter
-        (fun (b : Pir.Func.block) ->
+      if !pass = widen_after + 1 then List.iter (enqueue !pass) phi_positions;
+      while !hsize > 0 && heap.(0) < (!pass + 1) * npos do
+        let pos = pop () - (!pass * npos) in
+        let i = defs.(pos) in
+        last_rule.(pos) <- None;
+        let c, fr =
+          if forced.(i.id) then (Known Varying, Psmt.Facts.top) else transfer pos i
+        in
+        let c0 = cells.(i.id) in
+        (* monotone update: never climb back above the join *)
+        let c = join_shape c0 c in
+        if c <> c0 || not (Psmt.Facts.equal fr fcts.(i.id)) then begin
+          cells.(i.id) <- c;
+          fcts.(i.id) <- fr;
+          changed := true;
+          (* later positions see the change in this pass, the others in
+             the next *)
           List.iter
-            (fun (i : Pir.Instr.instr) ->
-              if i.ty <> Pir.Types.Void then begin
-                let c, fr = transfer i in
-                let c0 = Option.value ~default:Bot (Hashtbl.find_opt cells i.id) in
-                let f0 =
-                  Option.value ~default:Psmt.Facts.top (Hashtbl.find_opt fcts i.id)
-                in
-                (* monotone update: never climb back above the join *)
-                let c = join_shape c0 c in
-                if c <> c0 || not (Psmt.Facts.equal fr f0) then begin
-                  Hashtbl.replace cells i.id c;
-                  Hashtbl.replace fcts i.id fr;
-                  changed := true
-                end
-              end)
-            b.instrs)
-        f.blocks
+            (fun u -> enqueue (if u > pos then !pass else !pass + 1) u)
+            users.(i.id)
+        end
+      done
     done;
     if !changed then
       (* did not converge: conservatively mark everything varying *)
-      List.iter
-        (fun (b : Pir.Func.block) ->
-          List.iter
-            (fun (i : Pir.Instr.instr) ->
-              if i.ty <> Pir.Types.Void then Hashtbl.replace cells i.id (Known Varying))
-            b.instrs)
-        f.blocks
+      Array.iter (fun i -> cells.(i.id) <- Known Varying) defs
   in
-  (* divergence forcing loop: add constraints from varying conditionals
-     and varying-exit loops until stable *)
-  let shape_cell v = Option.value ~default:Bot (Hashtbl.find_opt cells v) in
-  let operand_varying (o : Pir.Instr.operand) =
-    match o with
-    | Pir.Instr.Const _ -> false
-    | Pir.Instr.Var v -> (
-        match shape_cell v with Known Varying -> true | _ -> false)
+  (* divergence forcing: constraints from varying conditionals and
+     varying-exit loops, each forcing a set of values varying *)
+  let operand_varying = function
+    | Const _ -> false
+    | Var v -> ( match cells.(v) with Known Varying -> true | _ -> false)
   in
-  let defined_in_blocks blocks =
-    let s = Hashtbl.create 32 in
-    List.iter
-      (fun (b : Pir.Func.block) ->
-        List.iter (fun (i : Pir.Instr.instr) -> Hashtbl.replace s i.id ()) b.instrs)
-      blocks;
-    s
+  let force ids =
+    List.fold_left
+      (fun any v ->
+        if forced.(v) then any
+        else begin
+          forced.(v) <- true;
+          true
+        end)
+      false ids
   in
   let rec collect_constraints regions : (unit -> bool) list =
     List.concat_map
@@ -414,107 +448,94 @@ let analyze (f : Pir.Func.t) : info =
         match r with
         | Panalysis.Regions.Basic _ -> []
         | Panalysis.Regions.If { cond; then_; else_; join } ->
-            let join_block = Pir.Func.find_block f join in
-            let constr () =
-              if operand_varying cond then
-                List.fold_left
-                  (fun acc (i : Pir.Instr.instr) ->
-                    match i.op with
-                    | Pir.Instr.Phi incoming
-                      when not (Hashtbl.mem forced i.id) ->
-                        let vals = List.map snd incoming in
-                        let identical =
-                          match vals with
-                          | v :: rest -> List.for_all (Pir.Instr.equal_operand v) rest
-                          | [] -> true
-                        in
-                        if not identical then begin
-                          if Sys.getenv_opt "PSHAPES_DEBUG" <> None then
-                            Fmt.epr "[shapes] forcing if-join phi %%%d@." i.id;
-                          Hashtbl.replace forced i.id ();
-                          true
-                        end
-                        else acc
-                    | _ -> acc)
-                  false join_block.instrs
-              else false
+            (* join phis become per-lane selects unless both arms carry
+               the identical value *)
+            let phis =
+              List.filter_map
+                (fun (i : instr) ->
+                  match i.op with
+                  | Phi ((_, v) :: rest)
+                    when not (List.for_all (fun (_, o) -> equal_operand v o) rest) ->
+                      Some i.id
+                  | _ -> None)
+                (Pir.Func.find_block f join).instrs
             in
+            let constr () = operand_varying cond && force phis in
             (constr :: collect_constraints then_) @ collect_constraints else_
         | Panalysis.Regions.Loop { header; cond; body; _ } ->
-            let body_blocks = Panalysis.Regions.blocks_of_regions body in
-            let loop_defs = defined_in_blocks (header :: body_blocks) in
-            let constr () =
-              if operand_varying cond then begin
-                let any = ref false in
-                (* loop-carried phis *)
-                List.iter
-                  (fun (i : Pir.Instr.instr) ->
-                    match i.op with
-                    | Pir.Instr.Phi _ when not (Hashtbl.mem forced i.id) ->
-                        if Sys.getenv_opt "PSHAPES_DEBUG" <> None then
-                          Fmt.epr "[shapes] forcing loop phi %%%d (cond varying)@." i.id;
-                        Hashtbl.replace forced i.id ();
-                        any := true
-                    | _ -> ())
-                  header.instrs;
-                (* header-defined values live past the loop need per-lane
-                   exit blending: force any loop definition that is used
-                   by an instruction outside the loop *)
-                let loop_block_names =
-                  List.map
-                    (fun (b : Pir.Func.block) -> b.bname)
-                    (header :: body_blocks)
-                in
-                let force_use u =
-                  if Hashtbl.mem loop_defs u && not (Hashtbl.mem forced u) then begin
-                    if Sys.getenv_opt "PSHAPES_DEBUG" <> None then
-                      Fmt.epr "[shapes] forcing live-out %%%d@." u;
-                    Hashtbl.replace forced u ();
-                    any := true
-                  end
-                in
-                List.iter
-                  (fun (b : Pir.Func.block) ->
-                    if not (List.mem b.bname loop_block_names) then begin
-                      List.iter
-                        (fun (i : Pir.Instr.instr) ->
-                          List.iter force_use (Pir.Instr.uses_of_op i.op))
-                        b.instrs;
-                      List.iter
-                        (function Pir.Instr.Var u -> force_use u | _ -> ())
-                        (Pir.Instr.operands_of_term b.term)
-                    end)
-                  f.blocks;
-                !any
-              end
-              else false
+            (* loop-carried phis, and any loop definition used outside
+               the loop: both need per-lane exit blending *)
+            let targets =
+              lazy
+                (let loop_blocks = header :: Panalysis.Regions.blocks_of_regions body in
+                 let in_loop = Array.make nids false in
+                 List.iter
+                   (fun (b : Pir.Func.block) ->
+                     List.iter (fun (i : instr) -> in_loop.(i.id) <- true) b.instrs)
+                   loop_blocks;
+                 let names = Hashtbl.create 8 in
+                 List.iter
+                   (fun (b : Pir.Func.block) -> Hashtbl.replace names b.bname ())
+                   loop_blocks;
+                 let live_outs = ref [] in
+                 let use = function
+                   | Var u when in_loop.(u) -> live_outs := u :: !live_outs
+                   | _ -> ()
+                 in
+                 List.iter
+                   (fun (b : Pir.Func.block) ->
+                     if not (Hashtbl.mem names b.bname) then begin
+                       List.iter (fun (i : instr) -> List.iter use (operands_of_op i.op)) b.instrs;
+                       List.iter use (operands_of_term b.term)
+                     end)
+                   f.blocks;
+                 List.filter_map
+                   (fun (i : instr) -> match i.op with Phi _ -> Some i.id | _ -> None)
+                   header.instrs
+                 @ !live_outs)
             in
+            let constr () = operand_varying cond && force (Lazy.force targets) in
             constr :: collect_constraints body)
       regions
   in
   let constraints = collect_constraints regions in
+  (* each round is a fresh fixpoint under the constraints forced so far *)
   let rec iterate n =
     run_dataflow ();
-    if Sys.getenv_opt "PSHAPES_NOFORCE" <> None then ()
-    else
-      let changed = List.fold_left (fun acc c -> if c () then true else acc) false constraints in
-      if changed && n < 20 then iterate (n + 1)
+    let changed = List.fold_left (fun acc c -> c () || acc) false constraints in
+    if changed && n < max_rounds then iterate (n + 1)
   in
   iterate 0;
   (* export *)
-  Pir.Func.iter_instrs f (fun _ i ->
-      if i.ty <> Pir.Types.Void then begin
-        (match shape_cell i.id with
+  let info =
+    {
+      gang;
+      shapes = Hashtbl.create 64;
+      facts = Hashtbl.create 64;
+      rule_hits = Hashtbl.create 16;
+      regions;
+      alloca_rooted = Hashtbl.create 8;
+    }
+  in
+  Array.iteri
+    (fun pos (i : instr) ->
+      Hashtbl.replace info.shapes i.id
+        (match cells.(i.id) with
         | Bot ->
             (* unreachable / dead value: any classification is sound *)
-            Hashtbl.replace info.shapes i.id (uniform gang)
-        | Known s -> Hashtbl.replace info.shapes i.id s);
-        Hashtbl.replace info.facts i.id
-          (Option.value ~default:Psmt.Facts.top (Hashtbl.find_opt fcts i.id))
-      end);
+            uniform_shape
+        | Known s -> s);
+      Hashtbl.replace info.facts i.id fcts.(i.id);
+      if rooted.(i.id) then Hashtbl.replace info.alloca_rooted i.id ();
+      match last_rule.(pos) with
+      | Some r ->
+          Hashtbl.replace info.rule_hits r
+            (1 + Option.value ~default:0 (Hashtbl.find_opt info.rule_hits r))
+      | None -> ())
+    defs;
   List.iter
     (fun (v, _) ->
-      Hashtbl.replace info.shapes v (uniform gang);
+      Hashtbl.replace info.shapes v uniform_shape;
       Hashtbl.replace info.facts v Psmt.Facts.top)
     f.params;
   info

@@ -21,8 +21,6 @@ let vl_of (s : Types.scalar) = machine_bits / Types.scalar_bits s
     Returns the final accumulator values (visible after the loop). *)
 let counted_loop (b : Builder.t) ~start ~stop ~step ~accs ~body :
     Instr.operand list =
-  let f = (Builder.current b).bname in
-  ignore f;
   let pre = Builder.current b in
   let hdr = Builder.fresh_block b "hw.hdr" in
   let bod = Builder.fresh_block b "hw.body" in
@@ -42,15 +40,7 @@ let counted_loop (b : Builder.t) ~start ~stop ~step ~accs ~body :
   Builder.br b hdr.bname;
   let patch phi_op extra =
     let id = match phi_op with Instr.Var v -> v | _ -> assert false in
-    hdr.instrs <-
-      List.map
-        (fun (ins : Instr.instr) ->
-          if ins.id <> id then ins
-          else
-            match ins.op with
-            | Instr.Phi inc -> { ins with op = Instr.Phi (inc @ [ extra ]) }
-            | _ -> ins)
-        hdr.instrs
+    Builder.add_incoming b hdr id [ extra ]
   in
   patch iv (latch.bname, iv');
   List.iter2 (fun p n -> patch p (latch.bname, n)) acc_phis next_accs;
@@ -115,6 +105,7 @@ let define m name ~ptrs ~scalars ~emit =
   let n = Instr.Var (nptr + nsc) in
   emit b ~ptrs:ptr_ops ~scalars:scalar_ops ~n;
   Builder.ret_void b;
+  Builder.finish b;
   Func.add_func m f
 
 (* -- the family combinators -- *)

@@ -279,10 +279,13 @@ let rules : rule list =
     };
   ]
 
-let for_op op = List.filter (fun r -> r.op = op) rules
+(* the rules of each opcode, in [rules] order; built once *)
+let by_op : (Pir.Instr.ibin * rule list) list =
+  List.sort_uniq compare (List.map (fun r -> r.op) rules)
+  |> List.map (fun op -> (op, List.filter (fun r -> r.op = op) rules))
 
 (** First rule that fires for [op a b] at width [w]. *)
 let try_apply ~w op a b =
-  List.find_map
-    (fun r -> Option.map (fun o -> (r.name, o)) (r.apply ~w a b))
-    (for_op op)
+  match List.assoc_opt op by_op with
+  | None -> None
+  | Some rs -> List.find_map (fun r -> Option.map (fun o -> (r.name, o)) (r.apply ~w a b)) rs

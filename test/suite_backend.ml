@@ -112,6 +112,57 @@ let test_reduction_wide () =
         (Types.I64, i32s [| 0 |]);
       ]
 
+(* psadbw whose group sums span two result chunks: a gang of 128 u8
+   lanes legalized to 8 lanes per register gives 16 sums, regrouped into
+   two 8-lane chunks *)
+let test_psadbw_two_chunks () =
+  differential_legalize
+    {|
+void sad128(uint8* a, uint64* out, int64 n) {
+  psim gang_size(128) num_spmd_threads(n) {
+    int64 i = psim_thread_num();
+    out[i] = psim_sad_u8(a[i], (uint8)3);
+  }
+}
+|}
+    "sad128"
+    [ Pmachine.Value.I 128L ]
+    ~bufspec:
+      [
+        (Types.I8, i32s (Array.init 128 (fun i -> (i * 37) mod 256)));
+        (Types.I64, i32s (Array.make 128 0));
+      ]
+
+(* the main-gang functions of the Simd Library kernels that reduce
+   through psadbw: a 4-lane chunk would split psadbw's 8-byte groups, so
+   the legalizer refuses with [Unsupported] (a skip for the fuzz oracle,
+   a typed error for verify-kernel); 8 and 16 lanes legalize *)
+let test_psadbw_kernels () =
+  List.iter
+    (fun name ->
+      let k = Option.get (Psimdlib.Registry.find name) in
+      let m = Pfrontend.Lower.compile k.Psimdlib.Workload.psim_src in
+      ignore (Parsimony.Vectorizer.run_module m);
+      Panalysis.Check.check_module m;
+      Parsimony.Simplify.run_module m;
+      let main = Func.find_func m (name ^ "__psim1") in
+      (match Pbackend.Legalize.legalize_func ~lanes:4 main with
+      | exception Pbackend.Legalize.Unsupported reason ->
+          if not (Astring_contains.contains reason "psadbw") then
+            Alcotest.failf "%s at 4 lanes: unexpected reason %S" name reason
+      | _ -> Alcotest.failf "%s: legalized psadbw to 4-lane chunks" name);
+      List.iter
+        (fun lanes -> Panalysis.Check.check_func (Pbackend.Legalize.legalize_func ~lanes main))
+        [ 8; 16 ])
+    [
+      "value_sum";
+      "abs_difference_sum";
+      "abs_difference_sum_masked";
+      "conditional_count8u";
+      "conditional_sum";
+      "get_statistic";
+    ]
+
 (* hardware-width sweep over a pinned generated batch: for every
    register width the legalizer supports (4, 8 and 16 lanes per
    register), legalizing the vectorized code must preserve the reference
@@ -157,5 +208,8 @@ let suites =
         Alcotest.test_case "pinned batch at 8 lanes" `Quick (test_legalize_width 8);
         Alcotest.test_case "pinned batch at 16 lanes" `Quick
           (test_legalize_width 16);
+        Alcotest.test_case "psadbw sums over two chunks" `Quick test_psadbw_two_chunks;
+        Alcotest.test_case "psadbw kernels at 4, 8 and 16 lanes" `Quick
+          test_psadbw_kernels;
       ] );
   ]

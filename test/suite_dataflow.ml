@@ -43,6 +43,7 @@ let build_diamond () =
   let bj = Builder.add_block b "join" in
   Builder.position b bj;
   Builder.ret_void b;
+  Builder.finish b;
   f
 
 let test_engine_forward_diamond () =
@@ -69,6 +70,7 @@ let build_two_block_loop () =
   let bx = Builder.add_block b "exit" in
   Builder.position b bx;
   Builder.ret_void b;
+  Builder.finish b;
   f
 
 let test_engine_loop_converges () =
@@ -107,6 +109,7 @@ let test_divergence_basics () =
   let u = Builder.ins b Types.f32 (Instr.Load (Instr.Var 0)) in
   let v = Builder.ins b Types.f32 (Instr.Load p) in
   Builder.ret_void b;
+  Builder.finish b;
   let dv = Pdataflow.Divergence.analyze f in
   let open Pdataflow.Divergence in
   Alcotest.(check bool) "param uniform" true (is_uniform dv (Instr.Var 1));
@@ -136,6 +139,7 @@ let test_divergence_control () =
   let same = Builder.phi b Types.i64 [ ("then", Instr.ci64 1); ("else", Instr.ci64 1) ] in
   let diff = Builder.phi b Types.i64 [ ("then", Instr.ci64 1); ("else", Instr.ci64 2) ] in
   Builder.ret_void b;
+  Builder.finish b;
   let dv = Pdataflow.Divergence.analyze f in
   let open Pdataflow.Divergence in
   Alcotest.(check bool) "then control-divergent" true (block_divergent dv "then");
@@ -155,6 +159,7 @@ let test_range_stride () =
   let p = Builder.gep b (Instr.Var 0) idx in
   let q = Builder.gep b (Instr.Var 0) (Instr.Var 1) in
   Builder.ret_void b;
+  Builder.finish b;
   let dv = Pdataflow.Divergence.analyze f in
   let rg = Pdataflow.Range.analyze dv f in
   let open Pdataflow.Range in
@@ -186,6 +191,7 @@ let test_range_no_wrap_gating () =
   let big = Builder.ins b Types.i8 (Instr.Ibin (Instr.Mul, i8, Instr.cint Types.I8 40L)) in
   let small = Builder.ins b Types.i8 (Instr.Ibin (Instr.Mul, i8, Instr.cint Types.I8 10L)) in
   Builder.ret_void b;
+  Builder.finish b;
   let dv = Pdataflow.Divergence.analyze f in
   let rg = Pdataflow.Range.analyze dv f in
   let open Pdataflow.Range in
@@ -214,6 +220,7 @@ let test_alias_roots () =
   let m = Builder.select b c a1 g1 in
   let m2 = Builder.select b c a1 a2 in
   Builder.ret_void b;
+  Builder.finish b;
   let al = Pdataflow.Alias.analyze f in
   let open Pdataflow.Alias in
   Alcotest.(check bool) "gep keeps root" true
@@ -249,6 +256,7 @@ let test_lanes_facts () =
   let sum = Builder.ins b (Types.Vec (Types.I64, 4)) (Instr.Ibin (Instr.Add, base, cst)) in
   let scaled = Builder.ins b (Types.Vec (Types.I64, 4)) (Instr.Ibin (Instr.Mul, sum, Instr.cvec Types.I64 [| 3L; 3L; 3L; 3L |])) in
   Builder.ret_void b;
+  Builder.finish b;
   let lv = Pdataflow.Lanes.analyze f in
   let open Pdataflow.Lanes in
   (match of_operand lv sum with
@@ -275,6 +283,7 @@ let test_lanes_loop_phi () =
   let bx = Builder.add_block b "exit" in
   Builder.position b bx;
   Builder.ret_void b;
+  Builder.finish b;
   (* patch the placeholder back-edge operand *)
   bh.instrs <-
     List.map
@@ -346,9 +355,11 @@ let test_verifier_unreachable () =
   let f = Func.create "unreach" ~params:[] ~ret:Types.Void in
   let b = Builder.create f in
   Builder.ret_void b;
+  Builder.finish b;
   let orphan = Builder.add_block b "orphan" in
   Builder.position b orphan;
   Builder.ret_void b;
+  Builder.finish b;
   match Verifier.verify_func f with
   | Ok () -> Alcotest.fail "verifier accepted unreachable block"
   | Error es ->
@@ -376,6 +387,7 @@ let test_verifier_use_dominance () =
   let bj = Builder.add_block b "join" in
   Builder.position b bj;
   Builder.ret_void b;
+  Builder.finish b;
   (match Panalysis.Check.verify_ssa f with
   | Ok () -> Alcotest.fail "verifier accepted non-dominating use"
   | Error es ->
@@ -397,6 +409,7 @@ let test_verifier_use_dominance () =
   let bj = Builder.add_block b "join" in
   Builder.position b bj;
   Builder.ret_void b;
+  Builder.finish b;
   match Panalysis.Check.verify_ssa g with
   | Ok () -> ()
   | Error es -> Alcotest.failf "rejected dominated use: %s" (String.concat "; " es)
@@ -419,6 +432,7 @@ let test_verifier_phi_incoming_dominance () =
   Builder.position b bj;
   let r = Builder.phi b Types.i32 [ ("then", x); ("else", x) ] in
   Builder.ret b (Some r);
+  Builder.finish b;
   match Panalysis.Check.verify_ssa f with
   | Ok () -> Alcotest.fail "verifier accepted phi incoming without dominance"
   | Error es ->

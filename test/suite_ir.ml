@@ -100,6 +100,7 @@ let build_branchy () =
   Builder.position b bj;
   let r = Builder.phi b Types.i32 [ ("then", s); ("else", d) ] in
   Builder.ret b (Some r);
+  Builder.finish b;
   f
 
 let test_builder_verifier () =
@@ -109,12 +110,58 @@ let test_builder_verifier () =
   | Error es -> Alcotest.failf "verifier rejected: %s" (Verifier.errors_to_string es));
   Panalysis.Check.check_func f
 
+(* emission is constant-time: 5,000 appends to one block, with the
+   builder switching to another block and back every 500, keep their
+   order in both blocks and allocate far less than re-copying the block
+   per append would (about 37 M words) *)
+let test_builder_long_block () =
+  let f = Func.create "long" ~params:[ (0, Types.i64) ] ~ret:Types.i64 in
+  let b = Builder.create f in
+  let entry = Builder.current b in
+  let side = Builder.add_block b "side" in
+  let w0 = Gc.minor_words () in
+  let acc = ref (Instr.Var 0) and side_acc = ref (Instr.Var 0) in
+  for k = 1 to 5000 do
+    acc := Builder.add b !acc (Instr.ci64 1);
+    if k mod 500 = 0 then begin
+      Builder.position b side;
+      side_acc := Builder.add b !side_acc (Instr.ci64 2);
+      Builder.position b entry
+    end
+  done;
+  Builder.br b "side";
+  Builder.position b side;
+  Builder.ret b (Some !side_acc);
+  Builder.finish b;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1e6 then Alcotest.failf "5000 appends allocated %.0f minor words" words;
+  let chain (blk : Func.block) =
+    List.fold_left
+      (fun prev (i : Instr.instr) ->
+        (match i.op with
+        | Instr.Ibin (Instr.Add, Instr.Var p, _) when p = prev -> ()
+        | _ -> Alcotest.failf "%s: %%%d does not extend %%%d" blk.bname i.id prev);
+        i.id)
+      0 blk.instrs
+  in
+  Alcotest.(check int) "entry ends at the last add" (match !acc with Instr.Var v -> v | _ -> -1)
+    (chain entry);
+  Alcotest.(check int) "entry length" 5000 (List.length entry.instrs);
+  Alcotest.(check int) "side length" 10 (List.length side.instrs);
+  ignore (chain side);
+  Alcotest.(check (list string)) "block order" [ "entry"; "side" ]
+    (List.map (fun (blk : Func.block) -> blk.bname) f.blocks);
+  match Verifier.verify_func f with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "verifier rejected: %s" (Verifier.errors_to_string es)
+
 let test_verifier_rejects () =
   let f = Func.create "bad" ~params:[ (0, Types.i32) ] ~ret:Types.i32 in
   let b = Builder.create f in
   (* type mismatch: i32 + f32 *)
   let x = Builder.ins b Types.i32 (Instr.Ibin (Instr.Add, Instr.Var 0, Instr.cf32 1.0)) in
   Builder.ret b (Some x);
+  Builder.finish b;
   match Verifier.verify_func f with
   | Ok () -> Alcotest.fail "verifier accepted ill-typed add"
   | Error _ -> ()
@@ -123,6 +170,7 @@ let test_verifier_rejects_bad_label () =
   let f = Func.create "badlbl" ~params:[] ~ret:Types.Void in
   let b = Builder.create f in
   Builder.br b "nowhere";
+  Builder.finish b;
   match Verifier.verify_func f with
   | Ok () -> Alcotest.fail "verifier accepted dangling label"
   | Error _ -> ()
@@ -156,6 +204,7 @@ let build_loop () =
   let bx = Builder.add_block b "exit" in
   Builder.position b bx;
   Builder.ret b (Some sum);
+  Builder.finish b;
   (* patch phi placeholders with real ids *)
   let patch inst =
     match inst.Instr.op with
@@ -238,6 +287,8 @@ let suites =
         Alcotest.test_case "verifier rejects ill-typed" `Quick test_verifier_rejects;
         Alcotest.test_case "verifier rejects bad label" `Quick test_verifier_rejects_bad_label;
         Alcotest.test_case "printer output" `Quick test_printer_roundtrip_shape;
+        Alcotest.test_case "builder appends in constant time" `Quick
+          test_builder_long_block;
       ] );
     ( "ir.analysis",
       [

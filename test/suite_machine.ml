@@ -303,6 +303,7 @@ let test_interp_arith () =
   let s = Builder.add b (Instr.Var 0) (Instr.Var 1) in
   let p = Builder.mul b s (Instr.ci32 3) in
   Builder.ret b (Some p);
+  Builder.finish b;
   let r, _ = run_fn f [ Pmachine.Value.I 4L; Pmachine.Value.I 5L ] in
   Alcotest.check valt "(4+5)*3" (Pmachine.Value.I 27L) r
 
@@ -326,6 +327,7 @@ let test_interp_branch_loop () =
   let bx = Builder.add_block b "x" in
   Builder.position b bx;
   Builder.ret b (Some s);
+  Builder.finish b;
   (* complete the phis *)
   bh.instrs <-
     List.map
@@ -348,6 +350,7 @@ let test_interp_vector_ops () =
   let w = Builder.ibin b Instr.Mul v (Instr.cvec Types.I32 [| 1L; 2L; 3L; 4L |]) in
   let r = Builder.reduce b Instr.RAdd w in
   Builder.ret b (Some r);
+  Builder.finish b;
   let m = Func.create_module "t" in
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
@@ -366,6 +369,7 @@ let test_interp_masked_store () =
   let mask = Instr.cvec Types.I1 [| 1L; 0L; 1L; 0L |] in
   Builder.vstore b ~mask v (Instr.Var 0);
   Builder.ret_void b;
+  Builder.finish b;
   let m = Func.create_module "t" in
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
@@ -391,6 +395,7 @@ let test_interp_gather_cost_exceeds_packed () =
        ignore (Builder.gather b (Instr.Var 0) idx)
      else ignore (Builder.vload b (Instr.Var 0) 16));
     Builder.ret_void b;
+    Builder.finish b;
     f
   in
   let run f =
@@ -527,6 +532,7 @@ let build_spmd_listing3 gang =
   let q = Builder.gep b (Instr.Var 1) lane in
   Builder.store b v q;
   Builder.ret_void b;
+  Builder.finish b;
   f
 
 let test_spmd_sync_through_memory () =
@@ -578,6 +584,7 @@ let build_spmd_shuffle ?(ty = Types.i64) ~gang ~partial src =
   let p = Builder.gep b (Instr.Var 0) lane in
   Builder.store b (Builder.cast b back got Types.i32) p;
   Builder.ret_void b;
+  Builder.finish b;
   f
 
 let test_spmd_shuffle () =
@@ -622,6 +629,7 @@ let test_spmd_partial_sad () =
   let p = Builder.gep b (Instr.Var 0) lane in
   Builder.store b (Builder.cast b Instr.Trunc sad Types.i32) p;
   Builder.ret_void b;
+  Builder.finish b;
   (* 12 active lanes: group 0 is full (2 * (0 + ... + 7) = 56), group 1
      holds lanes 8..11 only (2 * (8 + 9 + 10 + 11) = 76) *)
   Alcotest.check outcome "per-group sums over active lanes"
@@ -644,6 +652,7 @@ let build_spmd_diverge name ~gang ~split ~s ~n =
     [ ("s", s); ("n", n) ];
   Builder.position b (Builder.add_block b "j");
   Builder.ret_void b;
+  Builder.finish b;
   f
 
 let sync b = Builder.call_unit b Intrinsics.gang_sync []
@@ -684,6 +693,7 @@ let test_spmd_partial_gang () =
   let p = Builder.gep b (Instr.Var 0) lane in
   Builder.store b (Instr.ci32 1) p;
   Builder.ret_void b;
+  Builder.finish b;
   (* gang 0 of a 5-thread region: only lanes 0..4 active *)
   Alcotest.check outcome "lanes 0..4 store"
     (Bufs [ lanes gang (fun i -> if i < 5 then 1 else 0) ])

@@ -27,6 +27,7 @@ let test_cse_merges_pure_and_loads () =
   let s2 = Builder.add b x2 (Instr.ci32 5) in
   let r = Builder.mul b s1 s2 in
   Builder.ret b (Some r);
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Panalysis.Check.check_func f;
   Alcotest.(check int) "loads merged" 1 (count_op f is_load);
@@ -42,6 +43,7 @@ let test_stores_invalidate_loads () =
   let x2 = Builder.load b (Instr.Var 0) in
   let r = Builder.add b x1 x2 in
   Builder.ret b (Some r);
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Alcotest.(check int) "both loads survive the store" 2 (count_op f is_load);
   (* semantics: old + 42 *)
@@ -59,6 +61,7 @@ let test_dce_drops_dead_code () =
   let live = Builder.add b (Instr.Var 0) (Instr.ci32 1) in
   let _dead2 = Builder.xor b live (Instr.ci32 9) in
   Builder.ret b (Some live);
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Alcotest.(check int) "only the live add remains" 1
     (Func.fold_instrs f 0 (fun acc _ _ -> acc + 1))
@@ -77,6 +80,7 @@ let test_store_coalescing () =
     Builder.vstore b ~mask:m1 v1 base;
     Builder.vstore b ~mask:m2 v2 base;
     Builder.ret_void b;
+    Builder.finish b;
     f
   in
   let exec f =
@@ -119,6 +123,7 @@ let test_coalescing_blocked_by_load () =
   Builder.vstore b ~mask:m2 v2 base;
   Builder.store b x (Instr.Var 0);
   Builder.ret_void b;
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Alcotest.(check int) "stores not merged" 2
     (count_op f (fun i ->
@@ -137,6 +142,7 @@ let two_ops ty op c1 c2 =
   let a = op b (Instr.Var 0) c1 in
   let a' = op b (Instr.Var 0) c2 in
   Builder.ret b (Some (Builder.fsub b a a'));
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Panalysis.Check.check_func f;
   f
@@ -167,6 +173,7 @@ let test_cse_vector_lanes () =
   let a' = Builder.add b (Instr.Var 0) c2 in
   let a'' = Builder.add b (Instr.Var 0) c1 in
   Builder.ret b (Some (Builder.xor b (Builder.xor b a a') a''));
+  Builder.finish b;
   Parsimony.Simplify.run_func f;
   Panalysis.Check.check_func f;
   Alcotest.(check int) "one add per distinct vector constant" 2
@@ -187,6 +194,7 @@ let chunk_stores lanes =
         Builder.vstore b ~mask:m v p)
       lanes;
     Builder.ret_void b;
+    Builder.finish b;
     f
   in
   let exec f =

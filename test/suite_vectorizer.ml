@@ -102,6 +102,7 @@ let test_straightline () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b r q;
   Builder.ret_void b;
+  Builder.finish b;
   let rep =
     differential f
       ~setup:(fun mem ->
@@ -142,6 +143,7 @@ let test_divergent_if () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b r q;
   Builder.ret_void b;
+  Builder.finish b;
   let rep =
     differential f
       ~setup:(fun mem ->
@@ -184,6 +186,7 @@ let test_divergent_loop () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b cnt q;
   Builder.ret_void b;
+  Builder.finish b;
   (match bh.instrs with
   | p1 :: p2 :: rest ->
       bh.instrs <-
@@ -221,6 +224,7 @@ let test_shuffle () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b got q;
   Builder.ret_void b;
+  Builder.finish b;
   ignore
     (differential f
        ~setup:(fun mem ->
@@ -250,6 +254,7 @@ let test_strided_load () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b s q;
   Builder.ret_void b;
+  Builder.finish b;
   let rep =
     differential f
       ~setup:(fun mem ->
@@ -287,6 +292,7 @@ let test_gather () =
   let q = Builder.gep b (Instr.Var 2) i in
   Builder.store b v q;
   Builder.ret_void b;
+  Builder.finish b;
   let rep =
     differential f
       ~setup:(fun mem ->
@@ -323,6 +329,7 @@ let test_uniform_branch () =
   let q = Builder.gep b (Instr.Var 0) i in
   Builder.store b r q;
   Builder.ret_void b;
+  Builder.finish b;
   let setup big mem =
     let args, read =
       setup_arrays mem [ (Types.I32, i32s (Array.make gang 0)) ]
@@ -367,6 +374,7 @@ let test_uniform_loop () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b acc q;
   Builder.ret_void b;
+  Builder.finish b;
   (match bh.instrs with
   | p1 :: p2 :: rest ->
       bh.instrs <-
@@ -402,6 +410,7 @@ let test_partial_gang () =
     let i32 = Builder.cast b Instr.Trunc i Types.i32 in
     Builder.store b i32 p;
     Builder.ret_void b;
+    Builder.finish b;
     f
   in
   (* the partial variant used for the tail gang *)
@@ -429,6 +438,7 @@ let test_sad_u8 () =
   let q = Builder.gep b (Instr.Var 2) i in
   Builder.store b s q;
   Builder.ret_void b;
+  Builder.finish b;
   ignore
     (differential f
        ~setup:(fun mem ->
@@ -455,6 +465,7 @@ let test_no_shape_analysis_correct () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b r q;
   Builder.ret_void b;
+  Builder.finish b;
   let opts = { Parsimony.Options.default with shape_analysis = false } in
   let rep =
     differential ~opts f
@@ -495,6 +506,7 @@ let test_boscc () =
   let q = Builder.gep b (Instr.Var 1) i in
   Builder.store b r q;
   Builder.ret_void b;
+  Builder.finish b;
   let opts = { Parsimony.Options.default with boscc = true } in
   (* all lanes take else: the then side is skipped at runtime *)
   ignore

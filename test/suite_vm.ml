@@ -232,12 +232,14 @@ let fact_module () =
   let bb = Builder.add_block b "base" in
   Builder.position b bb;
   Builder.ret b (Some (Instr.ci32 1));
+  Builder.finish b;
   let br_ = Builder.add_block b "rec" in
   Builder.position b br_;
   let n1 = Builder.sub b (Instr.Var 0) (Instr.ci32 1) in
   let r = Builder.call b Types.i32 "fact" [ n1 ] in
   let p = Builder.mul b (Instr.Var 0) r in
   Builder.ret b (Some p);
+  Builder.finish b;
   Func.add_func m f;
   m
 
@@ -288,6 +290,7 @@ let test_vm_pool_constants () =
   let ax = Builder.mul b (Instr.Var 0) (Instr.ci32 7) in
   let r = Builder.add b ax (Instr.ci32 13) in
   Builder.ret b (Some r);
+  Builder.finish b;
   Func.add_func m f;
   let vm = Pmachine.Vm.create m in
   for i = 0 to 9 do
