@@ -301,7 +301,7 @@ let[@inline] sext_nat w x =
    [Value.small64]: the [int64 array] lane representation would
    otherwise allocate a fresh block per lane per instruction. *)
 let[@inline] box64 (v : int) : int64 =
-  if v >= 0 && v < 65536 then Array.unsafe_get Value.small64 v else Int64.of_int v
+  if v >= 0 && v < 65536 then Value.box64_small v else Int64.of_int v
 
 let ibin_nat (k : ibin) w a b : int =
   let m = mask_nat w in

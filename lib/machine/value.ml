@@ -75,19 +75,36 @@ let set_lane v i x =
    canonical [i1]/[i8]/[i16] values always hit, [i32]/[i64] values
    usually do.
 
-   [small64] is built at module initialisation.  The [I] cells around
-   its boxes are made on first use instead: building all 65 536 of
-   them up front costs about 4 ms of every process start, more than a
-   quarter of the start-up of a process that never runs the machine.
+   Both tables are filled on first use: building all 65 536 boxes and
+   cells up front costs several milliseconds of every process start,
+   a third of the start-up of a process that never runs the machine.
    A slot is filled by a plain store, so two domains racing on one
-   slot each get a correct cell and the last store wins; unlike
+   slot each get a correct value and the last store wins; unlike
    [Lazy.force], neither can fail. *)
-let small64 : int64 array = Array.init 65536 Int64.of_int
+
+(* An empty [small64] slot holds this box, which no filled slot ever
+   holds.  Slots are compared with it physically: unlike reading the
+   box's value, that adds no dependent load to the VM's lane boxing.
+   [opaque_identity] keeps every use on the one global box. *)
+let unfilled64 : int64 = Sys.opaque_identity (-1L)
+
+let small64 : int64 array = Array.make 65536 unfilled64
+
+(* stored, then read back: a let-bound [Int64.of_int] would be unboxed
+   and boxed afresh for the store and for the result *)
+let[@inline never] intern64 v =
+  small64.(v) <- Int64.of_int v;
+  small64.(v)
+
+(** The shared box of [Int64.of_int v], for [0 <= v < 2^16]. *)
+let[@inline] box64_small v =
+  let b = Array.unsafe_get small64 v in
+  if b != unfilled64 then b else intern64 v
 
 let small_cells : t array = Array.make 65536 Unit
 
 let[@inline never] intern v =
-  let c = I small64.(v) in
+  let c = I (box64_small v) in
   small_cells.(v) <- c;
   c
 

@@ -190,17 +190,59 @@ type run_inputs = {
   buf_names : (int * string) list;  (** param-object oid -> display name *)
 }
 
-let input_expr ctx (forced : (string, Symexec.conc) Hashtbl.t) ~name ~kind ~dom =
-  match Hashtbl.find_opt forced name with
-  | Some (Symexec.CI v) -> Symexec.int_const ctx kind v
-  | Some (Symexec.CF v) -> Symexec.float_const ctx kind v
-  | None -> Symexec.var_expr ctx (Symexec.fresh_var ctx ~name ~kind ~dom)
+(* One input value as every case of a check sees it: a concrete
+   constant, or an input variable that a case either concretizes
+   (its name is forced) or leaves symbolic over [dom]. *)
+type input =
+  | Iconst of Types.scalar * Symexec.conc
+  | Ivar of { name : string; kind : Types.scalar; dom : domain }
 
-(** Build both sides' initial states and the shared argument list.  The
-    two states hold *separate* cell arrays seeded with the *same*
-    expressions, and objects are created in the same order, so base
-    addresses and untouched cells coincide structurally. *)
-let build_inputs ~width (spec : pspec list) (forced : (string, Symexec.conc) Hashtbl.t) :
+type param =
+  | Pscalar of input
+  | Pbuf of { bname : string; bkind : Types.scalar; lo : int; cells : input array }
+
+(** What the cases of one check share, built once per {!check}: cell
+    names, one domain per buffer (all its symbolic cells range over the
+    same array) and the concrete cells and scalars. *)
+let template ~width (spec : pspec list) : param list =
+  List.map
+    (function
+      | Kint (s, v) -> Pscalar (Iconst (s, Symexec.CI v))
+      | Kfloat (s, v) -> Pscalar (Iconst (s, Symexec.CF v))
+      | Sint { sname; skind; sdom } ->
+          Pscalar (Ivar { name = sname; kind = skind; dom = Symexec.Dint sdom })
+      | Sfloat { sname; skind; sdom } ->
+          Pscalar (Ivar { name = sname; kind = skind; dom = Symexec.Dfloat sdom })
+      | Buf { bname; bkind; lo; len; init } ->
+          let dom =
+            if Types.is_float_scalar bkind then Symexec.Dfloat float_palette
+            else Symexec.Dint (int_domain ~width bkind)
+          in
+          let cell e =
+            match init e with
+            | Ccint v -> Iconst (bkind, Symexec.CI v)
+            | Ccfloat v -> Iconst (bkind, Symexec.CF v)
+            | Csym -> Ivar { name = Fmt.str "%s[%d]" bname e; kind = bkind; dom }
+          in
+          Pbuf { bname; bkind; lo; cells = Array.init len (fun i -> cell (lo + i)) })
+    spec
+
+let input_expr ctx (forced : (string, Symexec.conc) Hashtbl.t) = function
+  | Iconst (kind, Symexec.CI v) -> Symexec.int_const ctx kind v
+  | Iconst (kind, Symexec.CF v) -> Symexec.float_const ctx kind v
+  | Ivar { name; kind; dom } -> (
+      match Hashtbl.find_opt forced name with
+      | Some (Symexec.CI v) -> Symexec.int_const ctx kind v
+      | Some (Symexec.CF v) -> Symexec.float_const ctx kind v
+      | None -> Symexec.var_expr ctx (Symexec.fresh_var ctx ~name ~kind ~dom))
+
+(** Build one case's initial states and the shared argument list from
+    the check's {!template}.  A fresh context interns the inputs in
+    template order, so variable and expression ids are the same in
+    every case.  The two states hold *separate* cell arrays seeded with
+    the *same* expressions, and objects are created in the same order,
+    so base addresses and untouched cells coincide structurally. *)
+let build_inputs (tmpl : param list) (forced : (string, Symexec.conc) Hashtbl.t) :
     run_inputs =
   let ctx = Symexec.create_ctx () in
   let st_ref = { Symexec.objs = [] } and st_vec = { Symexec.objs = [] } in
@@ -208,26 +250,9 @@ let build_inputs ~width (spec : pspec list) (forced : (string, Symexec.conc) Has
   let args =
     List.map
       (function
-        | Kint (s, v) -> Symexec.S (Symexec.int_const ctx s v)
-        | Kfloat (s, v) -> Symexec.S (Symexec.float_const ctx s v)
-        | Sint { sname; skind; sdom } ->
-            Symexec.S (input_expr ctx forced ~name:sname ~kind:skind ~dom:(Symexec.Dint sdom))
-        | Sfloat { sname; skind; sdom } ->
-            Symexec.S (input_expr ctx forced ~name:sname ~kind:skind ~dom:(Symexec.Dfloat sdom))
-        | Buf { bname; bkind; lo; len; init } ->
-            let cell e =
-              match init e with
-              | Ccint v -> Symexec.int_const ctx bkind v
-              | Ccfloat v -> Symexec.float_const ctx bkind v
-              | Csym ->
-                  let name = Fmt.str "%s[%d]" bname e in
-                  let dom =
-                    if Types.is_float_scalar bkind then Symexec.Dfloat float_palette
-                    else Symexec.Dint (int_domain ~width bkind)
-                  in
-                  input_expr ctx forced ~name ~kind:bkind ~dom
-            in
-            let cells = Array.init len (fun i -> cell (lo + i)) in
+        | Pscalar i -> Symexec.S (input_expr ctx forced i)
+        | Pbuf { bname; bkind; lo; cells } ->
+            let cells = Array.map (input_expr ctx forced) cells in
             let oref =
               Symexec.add_obj st_ref ~name:bname ~kind:bkind ~cells ~lo ~private_:false
             in
@@ -237,7 +262,7 @@ let build_inputs ~width (spec : pspec list) (forced : (string, Symexec.conc) Has
             in
             buf_names := (oref.Symexec.oid, bname) :: !buf_names;
             Symexec.S (Symexec.int_const ctx Types.I64 (Symexec.obj_base oref.Symexec.oid)))
-      spec
+      tmpl
   in
   { ctx; args; st_ref; st_vec; buf_names = !buf_names }
 
@@ -393,6 +418,7 @@ let compare_outputs ~opts (inp : run_inputs) (forced : (string, Symexec.conc) Ha
     (reference and transformed modules differ). *)
 let check ?(opts = default_opts) ?(width = 8) ~lookup_ref ~lookup_vec ~(fref : Func.t)
     ~(fvec : Func.t) (spec : pspec list) : verdict =
+  let tmpl = template ~width spec in
   let conc = { names = [] } in
   let cases = ref 0 and vacuous = ref 0 and residual = ref 0 in
   let add_needed needed =
@@ -403,7 +429,7 @@ let check ?(opts = default_opts) ?(width = 8) ~lookup_ref ~lookup_vec ~(fref : F
     else conc.names <- conc.names @ fresh
   in
   let run_case forced =
-    let inp = build_inputs ~width spec forced in
+    let inp = build_inputs tmpl forced in
     match run_side ~opts ~lookup:lookup_ref inp.st_ref inp.ctx fref inp.args with
     | RNeed needed ->
         add_needed needed;

@@ -89,13 +89,60 @@ and node =
   | NIte of int * int * int  (** concrete-free select: cond is i1 *)
   | NMath of string * int list  (** canonical [math.op.fty] call *)
 
+(* Hash-consing key, compared field by field: integers by value,
+   operands by eid, float constants by bit pattern.  Structural
+   comparison would merge -0.0 with 0.0, which folding tells apart
+   (1/-0 is -inf); NaNs with one payload still share a node. *)
 module Key = struct
   type t = Types.scalar * node
 
-  (* [compare] rather than [=]: NaN-valued float constants must
-     hash-cons to a single node *)
-  let equal (a : t) (b : t) = compare a b = 0
-  let hash (x : t) = Hashtbl.hash x
+  let equal ((s, a) : t) ((s', b) : t) =
+    s = s'
+    &&
+    match (a, b) with
+    | NInt x, NInt y -> Int64.equal x y
+    | NFloat x, NFloat y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | NVar x, NVar y -> x = y
+    | NIbin (k, x1, x2), NIbin (k', y1, y2) -> k = k' && x1 = y1 && x2 = y2
+    | NIun (k, x), NIun (k', y) -> k = k' && x = y
+    | NIcmp (p, o, x1, x2), NIcmp (p', o', y1, y2) ->
+        p = p' && o = o' && x1 = y1 && x2 = y2
+    | NFbin (k, x1, x2), NFbin (k', y1, y2) -> k = k' && x1 = y1 && x2 = y2
+    | NFun (k, x), NFun (k', y) -> k = k' && x = y
+    | NFcmp (p, x1, x2), NFcmp (p', y1, y2) -> p = p' && x1 = y1 && x2 = y2
+    | NCast (k, o, x), NCast (k', o', y) -> k = k' && o = o' && x = y
+    | NIte (c, x1, x2), NIte (c', y1, y2) -> c = c' && x1 = y1 && x2 = y2
+    | NMath (f, xs), NMath (f', ys) -> String.equal f f' && List.equal Int.equal xs ys
+    | ( ( NInt _ | NFloat _ | NVar _ | NIbin _ | NIun _ | NIcmp _ | NFbin _ | NFun _
+        | NFcmp _ | NCast _ | NIte _ | NMath _ ),
+        _ ) ->
+        false
+
+  (* Buckets are picked by the low bits, so each step folds the high
+     bits down: a float constant's low mantissa bits are mostly zero. *)
+  let[@inline] mix h x =
+    let h = (h lxor x) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  (* constant constructors: [Hashtbl.hash] only mixes their index *)
+  let hash ((s, n) : t) =
+    let h = Hashtbl.hash s in
+    match n with
+    | NInt x -> mix (mix h 1) (Int64.to_int x)
+    | NFloat x ->
+        let b = Int64.bits_of_float x in
+        mix (mix h 2) (Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32))
+    | NVar v -> mix (mix h 3) v
+    | NIbin (k, a, b) -> mix (mix (mix (mix h 4) (Hashtbl.hash k)) a) b
+    | NIun (k, a) -> mix (mix (mix h 5) (Hashtbl.hash k)) a
+    | NIcmp (p, o, a, b) ->
+        mix (mix (mix (mix (mix h 6) (Hashtbl.hash p)) (Hashtbl.hash o)) a) b
+    | NFbin (k, a, b) -> mix (mix (mix (mix h 7) (Hashtbl.hash k)) a) b
+    | NFun (k, a) -> mix (mix (mix h 8) (Hashtbl.hash k)) a
+    | NFcmp (p, a, b) -> mix (mix (mix (mix h 9) (Hashtbl.hash p)) a) b
+    | NCast (k, o, a) -> mix (mix (mix (mix h 10) (Hashtbl.hash k)) (Hashtbl.hash o)) a
+    | NIte (c, a, b) -> mix (mix (mix (mix h 11) c) a) b
+    | NMath (f, args) -> List.fold_left mix (mix (mix h 12) (Hashtbl.hash f)) args
 end
 
 module Ktbl = Hashtbl.Make (Key)
@@ -133,7 +180,8 @@ let all_vars ctx = List.rev ctx.vars
 let expr_of ctx eid = ctx.nodes.(eid)
 
 let intern ctx kind node support =
-  match Ktbl.find_opt ctx.tbl (kind, node) with
+  let key = (kind, node) in
+  match Ktbl.find_opt ctx.tbl key with
   | Some e -> e
   | None ->
       let e = { eid = ctx.next_eid; kind; node; support } in
@@ -144,7 +192,7 @@ let intern ctx kind node support =
         ctx.nodes <- bigger
       end;
       ctx.nodes.(e.eid) <- e;
-      Ktbl.add ctx.tbl (kind, node) e;
+      Ktbl.add ctx.tbl key e;
       e
 
 (* -- outcomes raised during symbolic execution -- *)

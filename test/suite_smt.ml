@@ -161,6 +161,24 @@ let test_online_preconditions () =
   | None -> ()
   | Some (n, _) -> Alcotest.failf "rule %s fired with no facts" n
 
+(* hash-consing keeps -0.0 and 0.0 apart: folding 1/x tells them
+   apart, and a folded case must be the execution the machine runs *)
+let test_signed_zero_nodes () =
+  let ctx = Symexec.create_ctx () in
+  let f32 = Symexec.float_const ctx Pir.Types.F32 in
+  let zero = f32 0.0 and neg_zero = f32 (-0.0) in
+  Alcotest.(check bool) "-0.0 is its own node" true
+    (zero.Symexec.eid <> neg_zero.Symexec.eid);
+  let q = Symexec.mk_fbin ctx Pir.Instr.FDiv Pir.Types.F32 (f32 1.0) neg_zero in
+  let machine = Pmachine.Eval.fbin_scalar Pir.Instr.FDiv Pir.Types.F32 1.0 (-0.0) in
+  Alcotest.(check bool) "the machine divides 1 by -0.0 to -inf" true
+    (machine = Float.neg_infinity);
+  (match q.Symexec.node with
+  | Symexec.NFloat v -> Alcotest.(check bool) "1/-0.0 folds to -inf" true (v = machine)
+  | _ -> Alcotest.fail "1/-0.0 did not fold");
+  Alcotest.(check int) "one NaN node" (f32 Float.nan).Symexec.eid
+    (f32 Float.nan).Symexec.eid
+
 let suites =
   [
     ( "smt",
@@ -173,6 +191,8 @@ let suites =
         Alcotest.test_case "fact helpers" `Quick test_fact_helpers;
         Alcotest.test_case "online preconditions gate rules" `Quick
           test_online_preconditions;
+        Alcotest.test_case "-0.0 and 0.0 hash-cons apart" `Quick
+          test_signed_zero_nodes;
         QCheck_alcotest.to_alcotest prop_facts_sound;
       ] );
   ]

@@ -112,8 +112,20 @@ let test_flip_mask_refuted () =
   with
   | cx :: _ ->
       checkb "counterexample has a lane-level diff" true (cx.cx_diffs <> []);
-      checkb "counterexample has a concrete witness" true (cx.cx_witness <> []);
-      checkb "divergence is a wrong value, not a fault" true (cx.cx_fault = None)
+      checkb "divergence is a wrong value, not a fault" true (cx.cx_fault = None);
+      (* the witness assigns every modelled cell of both buffers (the
+         -4 .. 11 window) and the thread count, by the names the
+         reports print *)
+      let cells buf = List.init 16 (fun e -> Fmt.str "%s[%d]" buf (e - 4)) in
+      check
+        Alcotest.(list string)
+        "witness names"
+        (List.sort compare (cells "a0" @ cells "a1" @ [ "num_threads" ]))
+        (List.map fst cx.cx_witness);
+      check
+        Alcotest.(list string)
+        "diff locations" [ "a1[0]"; "a1[1]"; "a1[2]"; "a1[3]" ]
+        (List.map (fun (b, e, _, _) -> Fmt.str "%s[%d]" b e) cx.cx_diffs)
   | [] ->
       Alcotest.failf "flip-mask: no Counterexample among %a"
         Fmt.(list ~sep:comma (fun ppf (r : Parsimony.Tv.result) ->
@@ -142,6 +154,44 @@ let test_oob_refuted () =
   let cx = check_injected "inject_oob" Pfuzz.Gen.inject_oob ~seed:1 in
   checkb "oob counterexample reports the fault" true (cx.cx_fault <> None)
 
+(* -- pinned verdicts of built-in kernels at verify-kernel's defaults,
+   as its report prints them: verdict, case count, vacuous count or
+   Bounded reason -- *)
+
+let expect_verdicts name expected =
+  let k = Option.get (Psimdlib.Registry.find name) in
+  check
+    Alcotest.(list (triple string int string))
+    name expected
+    (List.map
+       (fun (r : Parsimony.Tv.result) ->
+         (r.vfunc, r.gang_used, Fmt.str "%a" Psmt.Equiv.pp_verdict r.verdict))
+       (Parsimony.Tv.verify_module (compile k.psim_src)))
+
+(* every access of a 3x3 stencil leaves the default window, so both
+   functions prove only through Tv's wide-window retry *)
+let test_stencil_wide_window () =
+  expect_verdicts "mean_filter_3x3"
+    [
+      ("mean_filter_3x3__psim1", 4, "Proved (75 cases, 181 vacuous)");
+      ("mean_filter_3x3__psim1_tail", 4, "Proved (306 cases, 718 vacuous)");
+    ]
+
+(* psim.sad_u8 raises the gang to 8 *)
+let test_sad_gang_raise () =
+  expect_verdicts "abs_difference_sum"
+    [ ("abs_difference_sum__psim1", 8, "Proved (256 cases, 0 vacuous)") ]
+
+(* a branch on two loaded 8-bit cells concretizes both: 256^2 cases
+   (sad_u8 again, so gang 8) *)
+let test_concretization_budget () =
+  expect_verdicts "conditional_sum"
+    [
+      ( "conditional_sum__psim1",
+        8,
+        "Bounded-out (2 concretized inputs span 65536 cases (budget 50000); 0 cases)" );
+    ]
+
 let suites =
   [
     ( "verify-kernel",
@@ -156,5 +206,11 @@ let suites =
         Alcotest.test_case "injected race refuted" `Quick test_race_refuted;
         Alcotest.test_case "injected oob refuted as a fault" `Quick
           test_oob_refuted;
+        Alcotest.test_case "3x3 stencil proves in the wide window" `Quick
+          test_stencil_wide_window;
+        Alcotest.test_case "sad_u8 kernel proves at gang 8" `Quick
+          test_sad_gang_raise;
+        Alcotest.test_case "concretization budget bounds out" `Quick
+          test_concretization_budget;
       ] );
   ]
