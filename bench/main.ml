@@ -440,12 +440,11 @@ let spans_json () =
     needs to compare two runs, plus the figure rows and harness
     diagnostics.  [bench --json] writes it pretty-printed; [--history]
     appends it as one compact JSONL line. *)
-let run_doc (sw : sweep) ~cards ~hot ~serve ~engine jobs : Pobs.Json.t =
+let run_doc (sw : sweep) ~cards ~hot ~engine jobs : Pobs.Json.t =
   let open Pobs.Json in
   let hits, misses = Pharness.Runner.Compile_cache.stats () in
   Obj
-    ((match serve with Some s -> [ ("serve", s) ] | None -> [])
-    @ [
+    [
       ("schema", Int Pharness.History.schema_version);
       ("machine", Str (machine_id ()));
       ("engine", Str (Pmachine.Engine.kind_to_string engine));
@@ -474,7 +473,7 @@ let run_doc (sw : sweep) ~cards ~hot ~serve ~engine jobs : Pobs.Json.t =
       ("remark_counts", remark_counts_json ());
       ("spans", spans_json ());
       ("metrics", Pobs.Metrics.snapshot ());
-    ])
+    ]
 
 (* -- diff / check subcommands -- *)
 
@@ -665,36 +664,10 @@ let cmd_run (cli : cli) =
         in
         (sw, cards, hot))
   in
-  (* sustained serve throughput: an in-process daemon (2 worker
-     domains, warm result cache) driven by 2 closed-loop clients; the
-     report lands in the run document under "serve" *)
-  let serve =
-    if wants_doc then
-      Some
-        (timed "serve_bench" (fun () ->
-             let socket = Filename.temp_file "psimc-serve-bench" ".sock" in
-             let spec =
-               {
-                 Pharness.Loadgen.default_spec with
-                 clients = 2;
-                 requests = 240;
-                 sources = Pharness.Loadgen.default_sources 4;
-               }
-             in
-             let report, summary =
-               Pharness.Loadgen.self_hosted ~jobs:2 ~cache_capacity:256 ~socket
-                 spec
-             in
-             pr "@.== Serve daemon sustained throughput ==@.";
-             pr "%a" Pharness.Loadgen.pp_report report;
-             pr "%a" Pharness.Serve.pp_summary summary;
-             Pharness.Loadgen.report_to_json report))
-    else None
-  in
   pr "@.== Harness timings (wall clock, --jobs %d) ==@." cli.jobs;
   List.iter (fun (s, dt) -> pr "%-36s %9.3fs@." s dt) !timings;
   if wants_doc then begin
-    let doc = run_doc sw ~cards ~hot ~serve ~engine:cli.engine cli.jobs in
+    let doc = run_doc sw ~cards ~hot ~engine:cli.engine cli.jobs in
     Option.iter
       (fun file ->
         Pobs.Json.write file doc;

@@ -408,7 +408,7 @@ let execute_on_simulator ?(profile = false) obs opts file entry scalar args
           "execute"
           (fun () ->
             try Pmachine.Engine.run t entry vargs with
-            | Pmachine.Interp.Trap msg -> sim_error "trap: %s" msg
+            | Pmachine.State.Trap msg -> sim_error "trap: %s" msg
             | Pmachine.Memory.Fault msg -> sim_error "memory fault: %s" msg)
       in
       let stats = Pmachine.Engine.stats t in

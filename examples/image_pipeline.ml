@@ -33,7 +33,7 @@ let run_pipeline impl =
     ignore k;
     let t = Pmachine.Interp.create ~mem m in
     ignore (Pmachine.Interp.run t name args);
-    total_cycles := !total_cycles +. t.Pmachine.Interp.stats.cycles
+    total_cycles := !total_cycles +. (Pmachine.Interp.stats t).cycles
   in
   let vi v = Pmachine.Value.I (Int64.of_int v) in
   call "bgra_to_gray" [ vi bgra; vi gray; vi npx ];

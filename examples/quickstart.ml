@@ -28,7 +28,7 @@ let run ~vectorize =
   end;
   (* 3. execute on the simulated AVX-512 machine *)
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let x =
     Pmachine.Memory.alloc_array mem Pir.Types.F32
       (Array.init n (fun i -> Pmachine.Value.F (float_of_int i)))
@@ -45,7 +45,7 @@ let run ~vectorize =
          Pmachine.Value.F 2.0;
          Pmachine.Value.I (Int64.of_int n);
        ]);
-  (Pmachine.Memory.read_array mem Pir.Types.F32 y n, t.Pmachine.Interp.stats.cycles)
+  (Pmachine.Memory.read_array mem Pir.Types.F32 y n, (Pmachine.Interp.stats t).cycles)
 
 let () =
   Fmt.pr "== Parsimony quickstart: saxpy over %d elements ==@." n;

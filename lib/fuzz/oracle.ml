@@ -180,7 +180,7 @@ let m_oracle_runs =
 
 (** Execute the kernel of the engine's module on the standard buffers
     and return the three output arrays plus the engine's cycle and
-    instruction totals.  Raises [Interp.Trap] / [Memory.Fault] on
+    instruction totals.  Raises [State.Trap] / [Memory.Fault] on
     dynamic errors.  Separated from engine creation so the
     profile-parity oracle can run on an attribution-enabled engine. *)
 let exec_on (t : Pmachine.Engine.t) (s : subject) : buffers * float * int =

@@ -11,7 +11,7 @@
 
 (** Collapse an exception to a stable tag. *)
 let exn_tag = function
-  | Pmachine.Interp.Trap _ -> "trap"
+  | Pmachine.State.Trap _ -> "trap"
   | Pmachine.Memory.Fault _ -> "fault"
   | Pfrontend.Lower.Error _ -> "lower"
   | Parsimony.Vectorizer.Unvectorizable _ -> "unvectorizable"

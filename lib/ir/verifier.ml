@@ -193,13 +193,19 @@ let verify_func (f : Func.t) : (unit, error list) result =
         | Some (Some (Types.Vec (Types.I1, n))) when n = Types.lanes i.ty -> ()
         | Some (Some ty) -> err "gather mask type %a" Types.pp ty
         | _ -> ())
-    | Scatter (v, base, idx, _) -> (
-        match (t v, t base, t idx) with
+    | Scatter (v, base, idx, m) -> (
+        (match (t v, t base, t idx) with
         | Some (Types.Vec (s, n)), Some (Types.Ptr s'), Some (Types.Vec (_, n'))
           ->
             if s <> s' then err "scatter element type mismatch";
             if n <> n' then err "scatter lane count mismatch"
-        | _ -> err "scatter operand types")
+        | _ -> err "scatter operand types");
+        match Option.map t m with
+        | Some (Some (Types.Vec (Types.I1, n)))
+          when Some n = Option.map Types.lanes (t idx) ->
+            ()
+        | Some (Some ty) -> err "scatter mask type %a" Types.pp ty
+        | _ -> ())
     | Shuffle (a, b, idx) -> (
         expect_eq "shuffle" a b;
         match t a with

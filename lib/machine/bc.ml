@@ -25,19 +25,22 @@
       [i64] and nothing anywhere else.
     - Hot scalar operations compile to dedicated instruction forms
       ([IBin], [FBin], [GepN], [LdN], ...) dispatched directly by the
-      VM loop — no closure call, no boxing.  Vector and rare operations
+      VM loop — no closure call, no boxing.  Vector memory accesses
+      compile to forms ([VLdV], [VStV], [VGaV], [VScV]) that the VM
+      runs through [Memory]'s shared lane loops.  Rare operations
       compile to closures specialized on opcode and operand class (via
       the [Eval] factories); anything irregular falls back to
-      [Interp.exec_instr] through the frame's environment, which reads
-      the banks through a class-aware [env.get].
+      [State.exec], the interpreter's boxed semantics, reading the
+      banks through the frame's class-aware [get].
     - Blocks are concatenated into one instruction array; branch and
       phi targets are absolute program counters resolved at compile
       time.  A block's phi prefix becomes one parallel-copy stub per
       incoming edge, appended after the straight-line code, so block
       bodies contain data instructions only.
-    - Callees are resolved through the [resolve] callback at compile
-      time: math library entries, compiled functions and SPMD
-      delegates are all direct closures by the time the code runs.
+    - Callees are classified by [State.callee] at compile time: math
+      library entries, and through the [call] callback compiled
+      functions and SPMD gangs, are all direct closures by the time the
+      code runs.
     - Cycle/fuel/instruction accounting is block-granular: one [Acct]
       pseudo-instruction per block carries the static sums from
       [Cost.schedule_func], which is the same schedule the interpreter
@@ -63,8 +66,8 @@ type acct = {
   a_ix : int;  (** source-block index (into [c_bnames]) for attribution *)
   a_n : int;  (** instructions in the block, phis included *)
   a_vec : int;  (** vector-typed instructions *)
-  a_phi : float;  (** charged cycles of the phi prefix *)
-  a_body : float;  (** charged cycles of body + terminator *)
+  a_cyc : float array;
+      (** charged cycles of the phi prefix, then of body + terminator *)
 }
 
 type frame = {
@@ -74,9 +77,9 @@ type frame = {
   lregs : int64 array;
       (** long bank: [i64] scalars at full 64-bit exactness; element
           reads/writes are pointer moves, only fresh results box *)
-  env : Interp.env;
+  get : operand -> Value.t;
       (** class-aware boxed view of the banks; only the fallback
-          instructions (compiled through [Interp.exec_instr]) touch it *)
+          instructions (compiled through [State.exec]) read it *)
 }
 
 (* phi parallel copy, split by register class.  All sources are read
@@ -186,12 +189,15 @@ type inst =
   | VGaV of Pir.Types.scalar * int * int * int * int * int * int
       (** gather: elem, elem bytes, index width, dst, base (int bank),
           index vector, mask or -1 *)
+  | VScV of Pir.Types.scalar * int * int * int * int * int * int
+      (** scatter: elem, elem bytes, index width, value, base (int bank),
+          index vector, mask or -1 *)
   (* -- closure forms for vector / rare operations -- *)
-  | Op of int * (Interp.t -> frame -> Value.t)  (** boxed-bank dst, body *)
-  | OpI of int * (Interp.t -> frame -> Value.t)  (** unboxes into int bank *)
-  | OpF of int * (Interp.t -> frame -> Value.t)  (** unboxes into float bank *)
-  | OpL of int * (Interp.t -> frame -> Value.t)  (** unwraps into long bank *)
-  | Eff of (Interp.t -> frame -> unit)  (** void result (stores, ...) *)
+  | Op of int * (State.t -> frame -> Value.t)  (** boxed-bank dst, body *)
+  | OpI of int * (State.t -> frame -> Value.t)  (** unboxes into int bank *)
+  | OpF of int * (State.t -> frame -> Value.t)  (** unboxes into float bank *)
+  | OpL of int * (State.t -> frame -> Value.t)  (** unwraps into long bank *)
+  | Eff of (State.t -> frame -> unit)  (** void result (stores, ...) *)
   (* -- control -- *)
   | Jmp of int
   | Cbr of int * int * int  (** int-bank condition, then-pc, else-pc *)
@@ -206,14 +212,6 @@ type inst =
       (** generic copy for class-mismatched (ill-typed) phis:
           getters, then (class, index) destinations *)
   | TrapI of string
-
-(** How a [Call] target resolves, decided once at compile time. *)
-type callee =
-  | KMath of string  (** math / SLEEF / ispc entry: [Mathlib.eval] *)
-  | KFunc of (Value.t list -> Value.t)
-      (** compiled function or SPMD delegate; the closure is supplied
-          by [Vm] and recurses into it *)
-  | KTrap of string  (** unknown function / intrinsic outside SPMD *)
 
 type code = {
   c_fn : Pir.Func.t;
@@ -253,8 +251,9 @@ type code = {
      bit-identical to the interpreter's per-entry accumulation. -- *)
   c_pent : int array;  (** block entries (dynamic) *)
   c_pn : int array;  (** accounted instructions per entry (static) *)
-  c_pphi : floatarray;  (** charged phi-prefix cycles per entry (static) *)
-  c_pbody : floatarray;  (** charged body+term cycles per entry (static) *)
+  c_psums : float array array;
+      (** charged phi-prefix, then body+term cycles per entry (static:
+          the schedule's [cs_sums]) *)
   mutable c_pool : frame list;  (** frames reused across calls *)
 }
 
@@ -295,13 +294,6 @@ let[@inline] mask_nat w = (1 lsl w) - 1
 let[@inline] sext_nat w x =
   let x = x land mask_nat w in
   if x land (1 lsl (w - 1)) <> 0 then x - (1 lsl w) else x
-
-(* Lane values below 2^16 (canonical [i1]/[i8]/[i16] lanes always,
-   [i32] lanes usually) share the preallocated boxes of
-   [Value.small64]: the [int64 array] lane representation would
-   otherwise allocate a fresh block per lane per instruction. *)
-let[@inline] box64 (v : int) : int64 =
-  if v >= 0 && v < 65536 then Value.box64_small v else Int64.of_int v
 
 let ibin_nat (k : ibin) w a b : int =
   let m = mask_nat w in
@@ -408,13 +400,20 @@ let icmp64 (p : ipred) (a : int64) (b : int64) : bool =
   | Sgt -> a > b
   | Sge -> a >= b
 
+(* a vector access's mask: absent, or in the boxed bank; its operand in
+   the access's instruction form is [-1] or that slot *)
+let boxed_mask sc_ = function None -> true | Some m -> sc_ m = cls_boxed
+let mask_slot si = function None -> -1 | Some m -> si m
+
 (* a compiled instruction that traps when (and only when) executed:
    ill-typed unreachable code must fail at the same point as under the
    interpreter, not at compile time *)
-let trap_op msg = Eff (fun _ _ -> Interp.trap "%s" msg)
+let trap_op msg = Eff (fun _ _ -> State.trap "%s" msg)
 
-let compile ~(model : Cost.model) ~(resolve : string -> callee)
-    (f : Pir.Func.t) : code =
+(** Compile [f], a function of [modul]; [call] runs a callee that is a
+    function of [modul]. *)
+let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
+    (modul : Pir.Func.modul) (f : Pir.Func.t) : code =
   if f.blocks = [] then
     Fmt.invalid_arg "Func.entry: %s has no blocks" f.fname;
   let operand_ty = Pir.Func.ty_of_operand f in
@@ -564,7 +563,7 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
   in
   (* destination wrapper: pick the closure arm that stores into the
      destination's bank (unboxing on the way for the scalar banks) *)
-  let wrap_dst (i : instr) (run : Interp.t -> frame -> Value.t) : inst =
+  let wrap_dst (i : instr) (run : State.t -> frame -> Value.t) : inst =
     if i.ty = Pir.Types.Void then Eff (fun it fr -> ignore (run it fr))
     else
       match cls.(i.id) with
@@ -585,13 +584,10 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
   in
   let fallback (i : instr) =
     (* irregular operand/destination classes and rare ops reuse the
-       interpreter's implementation through the frame's class-aware
-       environment; [Call]/[Phi] never reach here *)
+       interpreter's boxed semantics through the frame's class-aware
+       [get]; [Call]/[Phi] never reach here *)
     iter_ops esc i.op;
-    wrap_dst i (fun it fr ->
-        Interp.exec_instr it f fr.env ~prev_label:"$bc"
-          ~exec_call:(fun _ name _ -> Interp.trap "call to %s" name)
-          i)
+    wrap_dst i (fun st fr -> State.exec st ~get:fr.get ~oty:operand_ty i)
   in
   let compile_instr (i : instr) : inst =
     let dc = if i.ty = Pir.Types.Void then -1 else cls.(i.id) in
@@ -870,9 +866,7 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
         match elem_size_of p with
         | None -> bad_ptr p
         | Some (_, esz) ->
-            let iw =
-              Pir.Types.scalar_bits (Pir.Types.elem (operand_ty ixo))
-            in
+            let iw = State.index_bits operand_ty ixo in
             if
               iw <= 32 && sc_ p = cls_int && sc_ ixo = cls_int
               && dc = cls_int
@@ -893,8 +887,8 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
         let bytes = Pir.Types.scalar_bytes s * n in
         if dc = cls_int then AllocaN (bytes, idx.(i.id))
         else
-          wrap_dst i (fun it _ ->
-              Value.I (Int64.of_int (Memory.alloc it.Interp.mem bytes)))
+          wrap_dst i (fun st _ ->
+              Value.I (Int64.of_int (Memory.alloc st.State.mem bytes)))
     | Load p -> (
         match elem_size_of p with
         | None -> bad_ptr p
@@ -913,10 +907,9 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
               | Pir.Types.I64 when dc = cls_long && i.ty = Pir.Types.i64 ->
                   Ld64 (idx.(i.id), rp)
               | _ ->
-                  wrap_dst i (fun it fr ->
-                      let st = it.Interp.stats in
-                      st.scalar_mem <- st.scalar_mem + 1;
-                      Memory.load_scalar it.Interp.mem s fr.iregs.(rp))
+                  wrap_dst i (fun st fr ->
+                      st.State.stats.scalar_mem <- st.stats.scalar_mem + 1;
+                      Memory.load_scalar st.mem s fr.iregs.(rp))
             end)
     | Store (v, p) -> (
         match elem_size_of p with
@@ -935,155 +928,44 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
               | _ ->
                   let gv = getv v in
                   Eff
-                    (fun it fr ->
-                      let st = it.Interp.stats in
-                      st.scalar_mem <- st.scalar_mem + 1;
-                      Memory.store_scalar it.Interp.mem s fr.iregs.(rp)
-                        (gv fr))
+                    (fun st fr ->
+                      st.State.stats.scalar_mem <- st.stats.scalar_mem + 1;
+                      Memory.store_scalar st.mem s fr.iregs.(rp) (gv fr))
             end)
     | VLoad (p, mask) -> (
         match elem_size_of p with
         | None -> bad_ptr p
-        | Some (s, esz) -> (
-            if sc_ p <> cls_int || cls.(i.id) <> cls_boxed then fallback i
-            else
-              let n = Pir.Types.lanes i.ty in
-              let rp = si p in
-              match mask with
-              | None -> VLdV (s, esz, n, idx.(i.id), rp, -1)
-              | Some m when sc_ m = cls_boxed ->
-                  VLdV (s, esz, n, idx.(i.id), rp, si m)
-              | Some _ -> fallback i))
+        | Some (s, esz) ->
+            if sc_ p = cls_int && cls.(i.id) = cls_boxed && boxed_mask sc_ mask then
+              VLdV (s, esz, Pir.Types.lanes i.ty, idx.(i.id), si p, mask_slot si mask)
+            else fallback i)
     | VStore (v, p, mask) -> (
         match elem_size_of p with
         | None -> bad_ptr p
-        | Some (s, esz) -> (
-            if sc_ p <> cls_int || sc_ v <> cls_boxed then fallback i
-            else
-              match mask with
-              | None -> VStV (s, esz, si v, si p, -1)
-              | Some m when sc_ m = cls_boxed -> VStV (s, esz, si v, si p, si m)
-              | Some _ -> fallback i))
-    | Gather (b, ixo, mask)
-      when sc_ b = cls_int && sc_ ixo = cls_boxed && cls.(i.id) = cls_boxed
-           && (match mask with None -> true | Some m -> sc_ m = cls_boxed)
-           && elem_size_of b <> None -> (
-        match elem_size_of b with
-        | None -> assert false
         | Some (s, esz) ->
-            let iw =
-              Pir.Types.scalar_bits (Pir.Types.elem (operand_ty ixo))
-            in
-            let rm = match mask with None -> -1 | Some m -> si m in
-            VGaV (s, esz, iw, idx.(i.id), si b, si ixo, rm))
+            if sc_ p = cls_int && sc_ v = cls_boxed && boxed_mask sc_ mask then
+              VStV (s, esz, si v, si p, mask_slot si mask)
+            else fallback i)
     | Gather (b, ixo, mask) -> (
         match elem_size_of b with
         | None -> bad_ptr b
         | Some (s, esz) ->
-            if sc_ b <> cls_int then fallback i
-            else begin
-              let iw =
-                Pir.Types.scalar_bits (Pir.Types.elem (operand_ty ixo))
-              in
-              let esz64 = Int64.of_int esz in
-              let rb = si b and gi = getv ixo in
-              let gm = Option.map getv mask in
-              let is_f = Pir.Types.is_float_scalar s in
-              wrap_dst i (fun it fr ->
-                  let st = it.Interp.stats in
-                  st.gathers <- st.gathers + 1;
-                  let base = Int64.of_int fr.iregs.(rb) in
-                  let idxs = Value.as_ivec (gi fr) in
-                  let n = Array.length idxs in
-                  let lane_addr l =
-                    Int64.to_int
-                      (Int64.add base
-                         (Int64.mul (Pir.Ints.sext iw idxs.(l)) esz64))
-                  in
-                  match gm with
-                  | None when is_f ->
-                      let r = Array.make n 0.0 in
-                      for l = 0 to n - 1 do
-                        Array.unsafe_set r l
-                          (Memory.load_float it.Interp.mem s (lane_addr l))
-                      done;
-                      Value.VF r
-                  | None when s <> Pir.Types.I64 ->
-                      let r = Array.make n 0L in
-                      for l = 0 to n - 1 do
-                        Array.unsafe_set r l
-                          (box64 (Memory.load_nat it.Interp.mem s (lane_addr l)))
-                      done;
-                      Value.VI r
-                  | None ->
-                      let r = Array.make n 0L in
-                      for l = 0 to n - 1 do
-                        Array.unsafe_set r l
-                          (Memory.load_int it.Interp.mem s (lane_addr l))
-                      done;
-                      Value.VI r
-                  | Some gm ->
-                      let act = Value.as_ivec (gm fr) in
-                      Value.of_lanes s
-                        (Array.init n (fun l ->
-                             if act.(l) <> 0L then
-                               Memory.load_scalar it.Interp.mem s
-                                 (lane_addr l)
-                             else Value.zero (Pir.Types.Scalar s))))
-            end)
+            let iw = State.index_bits operand_ty ixo in
+            if
+              sc_ b = cls_int && sc_ ixo = cls_boxed && cls.(i.id) = cls_boxed
+              && boxed_mask sc_ mask
+            then VGaV (s, esz, iw, idx.(i.id), si b, si ixo, mask_slot si mask)
+            else fallback i)
     | Scatter (v, b, ixo, mask) -> (
         match elem_size_of b with
         | None -> bad_ptr b
         | Some (s, esz) ->
-            if sc_ b <> cls_int then fallback i
-            else begin
-              let iw =
-                Pir.Types.scalar_bits (Pir.Types.elem (operand_ty ixo))
-              in
-              let esz64 = Int64.of_int esz in
-              let gv = getv v and rb = si b and gi = getv ixo in
-              let gm = Option.map getv mask in
-              let is_f = Pir.Types.is_float_scalar s in
-              Eff
-                (fun it fr ->
-                  let st = it.Interp.stats in
-                  st.scatters <- st.scatters + 1;
-                  let base = Int64.of_int fr.iregs.(rb) in
-                  let idxs = Value.as_ivec (gi fr) in
-                  let n = Array.length idxs in
-                  let lane_addr l =
-                    Int64.to_int
-                      (Int64.add base
-                         (Int64.mul (Pir.Ints.sext iw idxs.(l)) esz64))
-                  in
-                  match (gm, gv fr) with
-                  | None, Value.VI x when not is_f ->
-                      for l = 0 to n - 1 do
-                        Memory.store_int it.Interp.mem s (lane_addr l)
-                          (Array.unsafe_get x l)
-                      done
-                  | None, Value.VF x when is_f ->
-                      for l = 0 to n - 1 do
-                        Memory.store_float it.Interp.mem s (lane_addr l)
-                          (Array.unsafe_get x l)
-                      done
-                  | gm, vv ->
-                      let act =
-                        match gm with
-                        | None -> None
-                        | Some g -> Some (Value.as_ivec (g fr))
-                      in
-                      for l = 0 to n - 1 do
-                        let on =
-                          match act with
-                          | None -> true
-                          | Some a -> a.(l) <> 0L
-                        in
-                        if on then
-                          Memory.store_scalar it.Interp.mem s (lane_addr l)
-                            (Value.lane vv l)
-                      done)
-            end)
+            let iw = State.index_bits operand_ty ixo in
+            if
+              sc_ b = cls_int && sc_ v = cls_boxed && sc_ ixo = cls_boxed
+              && boxed_mask sc_ mask
+            then VScV (s, esz, iw, si v, si b, si ixo, mask_slot si mask)
+            else fallback i)
     | Reduce (k, v) ->
         let s = Pir.Types.elem (operand_ty v) in
         let w = Pir.Types.scalar_bits s in
@@ -1119,16 +1001,17 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
     | Call (name, args) -> (
         let gs = Array.of_list (List.map getv args) in
         let collect fr = Array.fold_right (fun g acc -> g fr :: acc) gs [] in
-        match resolve name with
-        | KMath n ->
+        match State.callee modul name with
+        | Math ->
             if i.ty = Pir.Types.Void then
-              Eff (fun _ fr -> ignore (Mathlib.eval n (collect fr)))
-            else wrap_dst i (fun _ fr -> Mathlib.eval n (collect fr))
-        | KFunc g ->
+              Eff (fun _ fr -> ignore (Mathlib.eval name (collect fr)))
+            else wrap_dst i (fun _ fr -> Mathlib.eval name (collect fr))
+        | Func g ->
+            let g = call g in
             if i.ty = Pir.Types.Void then
               Eff (fun _ fr -> ignore (g (collect fr)))
             else wrap_dst i (fun _ fr -> g (collect fr))
-        | KTrap msg -> Eff (fun _ _ -> Interp.trap "%s" msg))
+        | Bad msg -> trap_op msg)
     | Phi _ -> assert false (* phis compile to edge stubs *)
     | Shuffle (a, b, sidx) ->
         if sc_ a = cls_boxed && sc_ b = cls_boxed && dc = cls_boxed then
@@ -1145,7 +1028,7 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
      order; edge stubs (phi parallel copies) appended after.  Every
      instruction is exactly one slot, so all offsets are known before
      anything is emitted. *)
-  let scheds = Cost.schedule_func model f in
+  let scheds = Cost.schedule_func Cost.default f in
   let blocks = Array.of_list f.blocks in
   let nblocks = Array.length blocks in
   let nphis_of (b : Pir.Func.block) =
@@ -1228,8 +1111,7 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
              a_ix = bix;
              a_n = sched.cs_ninstrs;
              a_vec = sched.cs_nvec_phi + sched.cs_nvec_body;
-             a_phi = sched.cs_phi_sum;
-             a_body = sched.cs_body_sum;
+             a_cyc = sched.cs_sums;
            });
       List.iteri
         (fun j (i : instr) ->
@@ -1528,11 +1410,10 @@ let compile ~(model : Cost.model) ~(resolve : string -> callee)
         (fun (b : Pir.Func.block) ->
           (Hashtbl.find scheds b.Pir.Func.bname).Cost.cs_ninstrs)
         blocks;
-    c_pphi =
-      Float.Array.init nblocks (fun ix ->
-          (Hashtbl.find scheds blocks.(ix).Pir.Func.bname).Cost.cs_phi_sum);
-    c_pbody =
-      Float.Array.init nblocks (fun ix ->
-          (Hashtbl.find scheds blocks.(ix).Pir.Func.bname).Cost.cs_body_sum);
+    c_psums =
+      Array.map
+        (fun (b : Pir.Func.block) ->
+          (Hashtbl.find scheds b.Pir.Func.bname).Cost.cs_sums)
+        blocks;
     c_pool = [];
   }

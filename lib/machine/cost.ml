@@ -319,8 +319,9 @@ type block_sched = {
           to the schedule total *)
   cs_term : float;  (** charged terminator share *)
   cs_nphis : int;  (** length of the phi prefix *)
-  cs_phi_sum : float;  (** sum of [cs_costs] over the phi prefix *)
-  cs_body_sum : float;  (** sum past the phi prefix, plus [cs_term] *)
+  cs_sums : float array;
+      (** the sum of [cs_costs] over the phi prefix, then the sum past
+          it plus [cs_term]: what both engines charge per block entry *)
   cs_ninstrs : int;  (** total instructions (phis included) *)
   cs_nvec_phi : int;  (** vector-typed phis *)
   cs_nvec_body : int;  (** vector-typed non-phi instructions *)
@@ -503,8 +504,7 @@ let schedule_func m (f : Pir.Func.t) : (string, block_sched) Hashtbl.t =
           cs_costs = costs;
           cs_term = term;
           cs_nphis = nphis;
-          cs_phi_sum = !phi_sum;
-          cs_body_sum = !body_sum;
+          cs_sums = [| !phi_sum; !body_sum |];
           cs_ninstrs = n;
           cs_nvec_phi = !nvec_phi;
           cs_nvec_body = !nvec_body;

@@ -25,10 +25,10 @@ let all_kinds = [ Interp; Vm ]
 type t = I of Interp.t | V of Vm.t
 
 (** [profile] enables per-block cycle attribution (both engines). *)
-let create ?(kind = Vm) ?model ?mem ?fuel ?profile modul =
+let create ?(kind = Vm) ?mem ?fuel ?profile modul =
   match kind with
-  | Interp -> I (Interp.create ?model ?mem ?fuel ?profile modul)
-  | Vm -> V (Vm.create ?model ?mem ?fuel ?profile modul)
+  | Interp -> I (Interp.create ?mem ?fuel ?profile modul)
+  | Vm -> V (Vm.create ?mem ?fuel ?profile modul)
 
 let kind = function I _ -> Interp | V _ -> Vm
 
@@ -37,21 +37,13 @@ let run t name args =
   | I it -> Interp.run it name args
   | V vm -> Vm.run vm name args
 
-let stats = function I it -> it.Interp.stats | V vm -> Vm.stats vm
+let stats = function I it -> Interp.stats it | V vm -> Vm.stats vm
 
-let mem = function I it -> it.Interp.mem | V vm -> Vm.mem vm
-
-let set_profile = function
-  | I it -> Interp.set_profile it
-  | V vm -> Vm.set_profile vm
-
-let reset_profile = function
-  | I it -> Interp.reset_profile it
-  | V vm -> Vm.reset_profile vm
+let mem = function I it -> Interp.mem it | V vm -> Vm.mem vm
 
 (** Capture the typed profile of everything executed so far.  Only
-    meaningful when the engine was created with [~profile:true] (or
-    after [set_profile t true]); otherwise the profile is empty. *)
+    meaningful when the engine was created with [~profile:true];
+    otherwise the profile is empty. *)
 let profile = function
   | I it -> Interp.capture it
   | V vm -> Vm.capture vm

@@ -1,8 +1,9 @@
 (** Pure operational semantics of PIR data operations.
 
-    Memory operations, calls, and phis need interpreter context and live
-    in [Interp]; everything value-to-value is here, shared by the scalar
-    interpreter and the SPMD reference executor. *)
+    Memory operations need machine state and live in [State.exec] (their
+    lane loops in [Memory]); calls and phis belong to each engine.
+    Everything value-to-value is here, shared by the interpreter, the
+    SPMD reference executor and the VM's fallback and closure forms. *)
 
 open Pir.Instr
 

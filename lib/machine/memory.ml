@@ -89,8 +89,7 @@ let store_scalar t (s : Pir.Types.scalar) addr (v : Value.t) =
 
    Same semantics (bounds checks, canonical zero-extension, rounding)
    as [load_scalar]/[store_scalar] but without boxing each element in a
-   [Value.t]; the interpreter's packed/gather fast paths use these to
-   fill lane arrays directly. *)
+   [Value.t]; the vector accesses below fill lane arrays with these. *)
 
 let load_int t (s : Pir.Types.scalar) addr : int64 =
   check t addr (Pir.Types.scalar_bytes s) "load";
@@ -175,15 +174,79 @@ let[@inline] store_f64 t addr (x : float) =
   check t addr 8 "store";
   Bytes.set_int64_le t.data addr (Int64.bits_of_float x)
 
+(* -- Vector accesses --
+
+   The one definition of every packed, masked, gather and scatter
+   access; both engines call these.  Lane [l] of a gather or scatter is
+   at [base + sext iw idxs.(l) * esz] (in [int64], as [Gep] computes
+   it); a packed access is the one whose [idxs] is [packed], with lane
+   [l] at [base + l * esz].  Lanes run in order, so a faulting lane
+   raises after the effects of the lanes before it.  [mask] is [no_mask]
+   or one [int64] per lane, as the engines hold an [<n x i1>] value: a
+   zero lane neither touches memory nor faults, and a load writes zero
+   into it.  A load fills the lanes of a destination vector the caller
+   supplies (a fresh one, or a register the VM overwrites in place);
+   integer lanes of at most 32 bits share the boxes of [Value.box64]. *)
+
+(* both empty, which no real mask or index vector is *)
+let no_mask : int64 array = [||]
+
+let packed : int64 array = [||]
+
+let[@inline] active mask l = mask == no_mask || mask.(l) <> 0L
+
+let[@inline] lane_addr base esz iw idxs l =
+  if idxs == packed then base + (l * esz)
+  else
+    Int64.to_int
+      (Int64.add (Int64.of_int base)
+         (Int64.mul (Pir.Ints.sext iw idxs.(l)) (Int64.of_int esz)))
+
+let[@inline] load_lane t (s : Pir.Types.scalar) addr : int64 =
+  if s = Pir.Types.I64 then load_int t s addr else Value.box64 (load_nat t s addr)
+
+let gather t s ~base ~esz ~iw ~idxs ~mask (dst : Value.t) =
+  match dst with
+  | Value.VI r ->
+      for l = 0 to Array.length r - 1 do
+        Array.unsafe_set r l
+          (if active mask l then load_lane t s (lane_addr base esz iw idxs l)
+           else 0L)
+      done
+  | Value.VF r ->
+      for l = 0 to Array.length r - 1 do
+        Array.unsafe_set r l
+          (if active mask l then load_float t s (lane_addr base esz iw idxs l)
+           else 0.0)
+      done
+  | v -> Fmt.invalid_arg "Memory.gather: %a" Value.pp v
+
+(* A value of the wrong class for [s] goes through [store_scalar], which
+   rejects it at the first active lane. *)
+let scatter t s ~base ~esz ~iw ~idxs ~mask (v : Value.t) =
+  let n = if idxs == packed then Value.lanes v else Array.length idxs in
+  match v with
+  | Value.VI x when not (Pir.Types.is_float_scalar s) ->
+      for l = 0 to n - 1 do
+        if active mask l then store_int t s (lane_addr base esz iw idxs l) x.(l)
+      done
+  | Value.VF x when Pir.Types.is_float_scalar s ->
+      for l = 0 to n - 1 do
+        if active mask l then store_float t s (lane_addr base esz iw idxs l) x.(l)
+      done
+  | v ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          store_scalar t s (lane_addr base esz iw idxs l) (Value.lane v l)
+      done
+
+let load_packed t s ~base ~esz ~mask dst =
+  gather t s ~base ~esz ~iw:0 ~idxs:packed ~mask dst
+
+let store_packed t s ~base ~esz ~mask v =
+  scatter t s ~base ~esz ~iw:0 ~idxs:packed ~mask v
+
 (* -- Bulk helpers used by workload setup and result checking -- *)
-
-let write_bytes t addr (b : bytes) =
-  check t addr (Bytes.length b) "write_bytes";
-  Bytes.blit b 0 t.data addr (Bytes.length b)
-
-let read_bytes t addr len =
-  check t addr len "read_bytes";
-  Bytes.sub t.data addr len
 
 (** Allocate and initialize an array of scalars; returns its address. *)
 let alloc_array t (s : Pir.Types.scalar) (vals : Value.t array) =

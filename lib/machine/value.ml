@@ -70,8 +70,8 @@ let set_lane v i x =
 (* Interning tables for small integers.  Integer values are immutable
    and compared structurally, so sharing one preallocated box per value
    below 2^16 is unobservable.  It keeps the paths that box integers
-   off the minor heap: the VM's [int64 array] vector lanes ([small64])
-   and memory loads that return a [Value.t] ([of_nat], [of_int64]);
+   off the minor heap: the [int64 array] vector lanes ([box64]) and
+   memory loads that return a [Value.t] ([of_nat], [of_int64]);
    canonical [i1]/[i8]/[i16] values always hit, [i32]/[i64] values
    usually do.
 
@@ -101,6 +101,10 @@ let[@inline] box64_small v =
   let b = Array.unsafe_get small64 v in
   if b != unfilled64 then b else intern64 v
 
+(** [Int64.of_int v], through the shared box when [0 <= v < 2^16]: how
+    the [int64 array] lanes of vectors avoid a fresh block per lane. *)
+let[@inline] box64 v = if v >= 0 && v < 65536 then box64_small v else Int64.of_int v
+
 let small_cells : t array = Array.make 65536 Unit
 
 let[@inline never] intern v =
@@ -124,6 +128,10 @@ let of_lanes (s : Pir.Types.scalar) xs =
   if Pir.Types.is_float_scalar s then VF (Array.map as_float xs)
   else VI (Array.map as_int xs)
 
+(** A fresh all-zero vector of [n] lanes of element kind [s]. *)
+let vec (s : Pir.Types.scalar) n =
+  if Pir.Types.is_float_scalar s then VF (Array.make n 0.) else VI (Array.make n 0L)
+
 let splat (s : Pir.Types.scalar) n v =
   if Pir.Types.is_float_scalar s then VF (Array.make n (as_float v))
   else VI (Array.make n (as_int v))
@@ -134,8 +142,7 @@ let zero (ty : Pir.Types.t) =
   | Pir.Types.Void -> Unit
   | Pir.Types.Scalar s when Pir.Types.is_float_scalar s -> F 0.
   | Pir.Types.Scalar _ | Pir.Types.Ptr _ -> I 0L
-  | Pir.Types.Vec (s, n) when Pir.Types.is_float_scalar s -> VF (Array.make n 0.)
-  | Pir.Types.Vec (_, n) -> VI (Array.make n 0L)
+  | Pir.Types.Vec (s, n) -> vec s n
 
 let equal a b =
   match (a, b) with

@@ -1,14 +1,13 @@
 (** Register-VM execution engine: runs [Bc] code.
 
-    The VM embeds an [Interp.t] and shares its memory, statistics,
-    cycle accumulator and fuel, so the two engines are interchangeable
-    mid-module: calls to SPMD-annotated functions delegate to the
-    interpreter's reference gang executor, nested serial calls made
-    from inside that executor run on the interpreter, and every
-    accounting path lands in the same accumulators.  Both engines
-    charge the block-granular sums of [Cost.schedule_func] in the same
-    order, so a run produces bit-identical cycle totals and statistics
-    under either engine.
+    The VM owns a {!State.t} — memory, statistics, cycle accumulator,
+    fuel and profile call tree — and charges each block through
+    [State.account], as the interpreter does, in the same order: a run
+    produces bit-identical cycle totals and statistics under either
+    engine.  Calls to SPMD-annotated functions run one gang on an
+    interpreter built over the same state ([gangs]); that, and reading
+    the gangs' per-block profile rows, is all the VM asks of {!Interp}.
+    Vector memory accesses run [Memory]'s shared lane loops.
 
     The dispatch loop is a tail-recursive walk of the instruction
     array: one match per instruction, absolute jumps, no hashtable
@@ -20,15 +19,14 @@
     (recursion pops fresh frames as needed); constants live in
     dedicated bank slots written once when a frame is first built.
 
-    Profiling: with attribution on (the shared [Interp.t.profile]
-    flag) the Acct dispatch arm bumps one per-block entry counter
-    ([Bc.c_pent]) — instructions and cycles per entry are block
-    constants, so [capture] derives the full rows from the entry count
-    alone.  Charges are quantized to a dyadic grid ([Cost]), making
-    [entries * charge] exact and bit-identical to the interpreter's
-    per-entry accumulation.  SPMD gangs (and anything they call)
-    execute on the embedded interpreter even under the VM, so their
-    attribution lands in its bexec accumulators; [capture] merges both
+    Profiling: with attribution on ([State.t.profile]) the Acct
+    dispatch arm bumps one per-block entry counter ([Bc.c_pent]) —
+    instructions and cycles per entry are block constants, so [capture]
+    derives the full rows from the entry count alone.  Charges are
+    quantized to a dyadic grid ([Cost]), making [entries * charge] exact
+    and bit-identical to the interpreter's per-entry accumulation.  SPMD
+    gangs (and anything they call) execute on [gangs], so their
+    attribution lands in its block accumulators; [capture] merges both
     sides.  When profiling is off the only residue is one predictable
     untaken branch inside Acct — the per-instruction hot path is
     untouched. *)
@@ -36,20 +34,19 @@
 open Pir.Instr
 
 type t = {
-  it : Interp.t;  (** shared memory / stats / cycles / fuel *)
+  st : State.t;
+  modul : Pir.Func.modul;
+  gangs : Interp.t;  (** runs SPMD gangs over [st] *)
   codes : (string, Bc.code) Hashtbl.t;
 }
 
-let create ?model ?mem ?fuel ?profile modul =
-  { it = Interp.create ?model ?mem ?fuel ?profile modul; codes = Hashtbl.create 16 }
+let create ?mem ?fuel ?profile modul =
+  let st = State.create ?mem ?fuel ?profile () in
+  { st; modul; gangs = Interp.make st modul; codes = Hashtbl.create 16 }
 
-(** The interpreter wrapped by [t]: shares all accumulators, usable
-    directly as the differential oracle's twin. *)
-let interp t = t.it
+let stats t = t.st.State.stats
 
-let stats t = t.it.Interp.stats
-
-let mem t = t.it.Interp.mem
+let mem t = t.st.State.mem
 
 (* float<->bits conversions on the unboxed external chain: [round32]
    reproduces [Value.round_float F32] without leaving float registers *)
@@ -89,25 +86,30 @@ let[@inline] fin_vi (fr : Bc.frame) (d : int) (r : int64 array) =
 let[@inline] fin_vf (fr : Bc.frame) (d : int) (r : float array) =
   if d >= 0 then Array.unsafe_set fr.Bc.regs d (Value.VF r)
 
+(* the destination of a vector load: a fresh vector published into a
+   non-negative dst, or the private register itself *)
+let[@inline] dst_vec (fr : Bc.frame) (d : int) s (n : int) : Value.t =
+  if d >= 0 then begin
+    let v = Value.vec s n in
+    Array.unsafe_set fr.Bc.regs d v;
+    v
+  end
+  else Array.unsafe_get fr.Bc.regs (lnot d)
+
+let[@inline] mask_of (fr : Bc.frame) rm =
+  if rm < 0 then Memory.no_mask else Value.as_ivec (Array.unsafe_get fr.Bc.regs rm)
+
 (* -- dispatch loop -- *)
 
 let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
   match Array.unsafe_get c.c_insts pc with
   | Bc.Acct a ->
-      let it = t.it in
-      Interp.burn_n it a.a_n;
-      let s = it.Interp.stats in
-      s.instrs <- s.instrs + a.a_n;
-      s.vector_instrs <- s.vector_instrs + a.a_vec;
-      if it.Interp.count_cost then begin
-        Interp.charge it a.a_phi;
-        Interp.charge it a.a_body
-      end;
+      State.account t.st a.a_n a.a_vec a.a_cyc 0 2;
       (* the whole of attribution: instrs and cycles per entry are
          block constants, so [capture] derives them from the entry
          count — the profiled path costs one predictable branch and
          one int bump *)
-      if it.Interp.profile then begin
+      if t.st.profile then begin
         let pent = c.c_pent and ix = a.a_ix in
         Array.unsafe_set pent ix (Array.unsafe_get pent ix + 1)
       end;
@@ -237,44 +239,44 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
         + (Bc.sext_nat iw (Array.unsafe_get ir ix) * esz));
       exec t c fr (pc + 1)
   | Bc.AllocaN (bytes, d) ->
-      Array.unsafe_set fr.iregs d (Memory.alloc t.it.Interp.mem bytes);
+      Array.unsafe_set fr.iregs d (Memory.alloc t.st.State.mem bytes);
       exec t c fr (pc + 1)
   | Bc.LdN (s, d, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
       Array.unsafe_set fr.iregs d
-        (Memory.load_nat t.it.Interp.mem s (Array.unsafe_get fr.iregs addr));
+        (Memory.load_nat t.st.State.mem s (Array.unsafe_get fr.iregs addr));
       exec t c fr (pc + 1)
   | Bc.LdF32 (d, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
       Array.unsafe_set fr.fregs d
-        (Memory.load_f32 t.it.Interp.mem (Array.unsafe_get fr.iregs addr));
+        (Memory.load_f32 t.st.State.mem (Array.unsafe_get fr.iregs addr));
       exec t c fr (pc + 1)
   | Bc.LdF64 (d, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
       Array.unsafe_set fr.fregs d
-        (Memory.load_f64 t.it.Interp.mem (Array.unsafe_get fr.iregs addr));
+        (Memory.load_f64 t.st.State.mem (Array.unsafe_get fr.iregs addr));
       exec t c fr (pc + 1)
   | Bc.StN (s, src, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
-      Memory.store_nat t.it.Interp.mem s
+      Memory.store_nat t.st.State.mem s
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.iregs src);
       exec t c fr (pc + 1)
   | Bc.StF32 (src, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
-      Memory.store_f32 t.it.Interp.mem
+      Memory.store_f32 t.st.State.mem
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.fregs src);
       exec t c fr (pc + 1)
   | Bc.StF64 (src, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
-      Memory.store_f64 t.it.Interp.mem
+      Memory.store_f64 t.st.State.mem
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.fregs src);
       exec t c fr (pc + 1)
@@ -345,16 +347,16 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
         + (Int64.to_int (Array.unsafe_get fr.lregs ix) * esz));
       exec t c fr (pc + 1)
   | Bc.Ld64 (d, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
       Array.unsafe_set fr.lregs d
-        (Memory.load_int t.it.Interp.mem Pir.Types.I64
+        (Memory.load_int t.st.State.mem Pir.Types.I64
            (Array.unsafe_get fr.iregs addr));
       exec t c fr (pc + 1)
   | Bc.St64 (src, addr) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
-      Memory.store_int t.it.Interp.mem Pir.Types.I64
+      Memory.store_int t.st.State.mem Pir.Types.I64
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.lregs src);
       exec t c fr (pc + 1)
@@ -365,7 +367,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
           let r = dst_vi fr d n in
           for l = 0 to n - 1 do
             Array.unsafe_set r l
-              (Bc.box64
+              (Value.box64
                  (Bc.ibin_nat k w
                     (Int64.to_int (Array.unsafe_get x l))
                     (Int64.to_int (Array.unsafe_get y l))))
@@ -392,7 +394,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
           let r = dst_vi fr d n in
           for l = 0 to n - 1 do
             Array.unsafe_set r l
-              (Bc.box64
+              (Value.box64
                  (Bc.iun_nat k w (Int64.to_int (Array.unsafe_get x l))))
           done;
           fin_vi fr d r
@@ -544,7 +546,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
               | SExt -> Bc.sext_nat ws xi land Bc.mask_nat wd
               | _ -> assert false
             in
-            Array.unsafe_set r l (Bc.box64 v)
+            Array.unsafe_set r l (Value.box64 v)
           done;
           fin_vi fr d r
       | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
@@ -576,7 +578,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
               if xf <> xf || ((not signed) && xf < 0.0) then 0
               else int_of_float xf
             in
-            Array.unsafe_set r l (Bc.box64 (v land Bc.mask_nat wd))
+            Array.unsafe_set r l (Value.box64 (v land Bc.mask_nat wd))
           done;
           fin_vi fr d r
       | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
@@ -674,7 +676,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
           Fmt.invalid_arg "Eval.select: %a, %a" Value.pp va Value.pp vb);
       exec t c fr (pc + 1)
   | Bc.VSplatI (n, d, a) ->
-      let v = Bc.box64 (Array.unsafe_get fr.iregs a) in
+      let v = Value.box64 (Array.unsafe_get fr.iregs a) in
       let r = dst_vi fr d n in
       Array.fill r 0 n v;
       fin_vi fr d r;
@@ -692,104 +694,19 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       fin_vf fr d r;
       exec t c fr (pc + 1)
   | Bc.VLdV (s, esz, n, d, rp, rm) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.packed_mem <- st.packed_mem + 1;
-      let mem = t.it.Interp.mem in
-      let base = Array.unsafe_get fr.iregs rp in
-      (if Pir.Types.is_float_scalar s then begin
-         let r = dst_vf fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l (Memory.load_float mem s (base + (l * esz)))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if Array.unsafe_get act l <> 0L then
-                   Memory.load_float mem s (base + (l * esz))
-                 else 0.0)
-            done);
-         fin_vf fr d r
-       end
-       else if s = Pir.Types.I64 then begin
-         let r = dst_vi fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l (Memory.load_int mem s (base + (l * esz)))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if Array.unsafe_get act l <> 0L then
-                   Memory.load_int mem s (base + (l * esz))
-                 else 0L)
-            done);
-         fin_vi fr d r
-       end
-       else begin
-         let r = dst_vi fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (Bc.box64 (Memory.load_nat mem s (base + (l * esz))))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if Array.unsafe_get act l <> 0L then
-                   Bc.box64 (Memory.load_nat mem s (base + (l * esz)))
-                 else 0L)
-            done);
-         fin_vi fr d r
-       end);
+      Memory.load_packed t.st.State.mem s
+        ~base:(Array.unsafe_get fr.iregs rp)
+        ~esz ~mask:(mask_of fr rm) (dst_vec fr d s n);
       exec t c fr (pc + 1)
   | Bc.VStV (s, esz, rv, rp, rm) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.packed_mem <- st.packed_mem + 1;
-      let mem = t.it.Interp.mem in
-      let base = Array.unsafe_get fr.iregs rp in
-      let is_f = Pir.Types.is_float_scalar s in
-      (if rm < 0 then
-         match Array.unsafe_get fr.regs rv with
-         | Value.VI x when not is_f ->
-             for l = 0 to Array.length x - 1 do
-               Memory.store_int mem s (base + (l * esz)) (Array.unsafe_get x l)
-             done
-         | Value.VF x when is_f ->
-             for l = 0 to Array.length x - 1 do
-               Memory.store_float mem s
-                 (base + (l * esz))
-                 (Array.unsafe_get x l)
-             done
-         | vv ->
-             let n = Value.lanes vv in
-             for l = 0 to n - 1 do
-               Memory.store_scalar mem s (base + (l * esz)) (Value.lane vv l)
-             done
-       else
-         let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-         match Array.unsafe_get fr.regs rv with
-         | Value.VI x when not is_f ->
-             for l = 0 to Array.length x - 1 do
-               if Array.unsafe_get act l <> 0L then
-                 Memory.store_int mem s (base + (l * esz)) (Array.unsafe_get x l)
-             done
-         | Value.VF x when is_f ->
-             for l = 0 to Array.length x - 1 do
-               if Array.unsafe_get act l <> 0L then
-                 Memory.store_float mem s
-                   (base + (l * esz))
-                   (Array.unsafe_get x l)
-             done
-         | vv ->
-             let n = Value.lanes vv in
-             for l = 0 to n - 1 do
-               if act.(l) <> 0L then
-                 Memory.store_scalar mem s (base + (l * esz)) (Value.lane vv l)
-             done);
+      Memory.store_packed t.st.State.mem s
+        ~base:(Array.unsafe_get fr.iregs rp)
+        ~esz ~mask:(mask_of fr rm)
+        (Array.unsafe_get fr.regs rv);
       exec t c fr (pc + 1)
   | Bc.VRedI (k, w, d, a) ->
       (match Array.unsafe_get fr.regs a with
@@ -909,80 +826,39 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       | v -> Fmt.invalid_arg "Eval.reduce: %a" Value.pp v);
       exec t c fr (pc + 1)
   | Bc.VGaV (s, esz, iw, d, rb, rix, rm) ->
-      let st = t.it.Interp.stats in
+      let st = t.st.State.stats in
       st.gathers <- st.gathers + 1;
-      let mem = t.it.Interp.mem in
-      let base = Int64.of_int (Array.unsafe_get fr.iregs rb) in
       let idxs = Value.as_ivec (Array.unsafe_get fr.regs rix) in
-      let n = Array.length idxs in
-      let esz64 = Int64.of_int esz in
-      let lane_addr l =
-        Int64.to_int
-          (Int64.add base (Int64.mul (Pir.Ints.sext iw idxs.(l)) esz64))
-      in
-      (if Pir.Types.is_float_scalar s then begin
-         let r = dst_vf fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l (Memory.load_float mem s (lane_addr l))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if act.(l) <> 0L then Memory.load_float mem s (lane_addr l)
-                 else 0.0)
-            done);
-         fin_vf fr d r
-       end
-       else if s = Pir.Types.I64 then begin
-         let r = dst_vi fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l (Memory.load_int mem s (lane_addr l))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if act.(l) <> 0L then Memory.load_int mem s (lane_addr l)
-                 else 0L)
-            done);
-         fin_vi fr d r
-       end
-       else begin
-         let r = dst_vi fr d n in
-         (if rm < 0 then
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (Bc.box64 (Memory.load_nat mem s (lane_addr l)))
-            done
-          else
-            let act = Value.as_ivec (Array.unsafe_get fr.regs rm) in
-            for l = 0 to n - 1 do
-              Array.unsafe_set r l
-                (if act.(l) <> 0L then
-                   Bc.box64 (Memory.load_nat mem s (lane_addr l))
-                 else 0L)
-            done);
-         fin_vi fr d r
-       end);
+      Memory.gather t.st.State.mem s
+        ~base:(Array.unsafe_get fr.iregs rb)
+        ~esz ~iw ~idxs ~mask:(mask_of fr rm)
+        (dst_vec fr d s (Array.length idxs));
+      exec t c fr (pc + 1)
+  | Bc.VScV (s, esz, iw, rv, rb, rix, rm) ->
+      let st = t.st.State.stats in
+      st.scatters <- st.scatters + 1;
+      Memory.scatter t.st.State.mem s
+        ~base:(Array.unsafe_get fr.iregs rb)
+        ~esz ~iw
+        ~idxs:(Value.as_ivec (Array.unsafe_get fr.regs rix))
+        ~mask:(mask_of fr rm)
+        (Array.unsafe_get fr.regs rv);
       exec t c fr (pc + 1)
   | Bc.Op (dst, f) ->
-      Array.unsafe_set fr.regs dst (f t.it fr);
+      Array.unsafe_set fr.regs dst (f t.st fr);
       exec t c fr (pc + 1)
   | Bc.OpI (dst, f) ->
-      Array.unsafe_set fr.iregs dst (Int64.to_int (Value.as_int (f t.it fr)));
+      Array.unsafe_set fr.iregs dst (Int64.to_int (Value.as_int (f t.st fr)));
       exec t c fr (pc + 1)
   | Bc.OpF (dst, f) ->
-      Array.unsafe_set fr.fregs dst (Value.as_float (f t.it fr));
+      Array.unsafe_set fr.fregs dst (Value.as_float (f t.st fr));
       exec t c fr (pc + 1)
   | Bc.OpL (dst, f) ->
       (* [as_int] hands back the existing box: no copy *)
-      Array.unsafe_set fr.lregs dst (Value.as_int (f t.it fr));
+      Array.unsafe_set fr.lregs dst (Value.as_int (f t.st fr));
       exec t c fr (pc + 1)
   | Bc.Eff f ->
-      f t.it fr;
+      f t.st fr;
       exec t c fr (pc + 1)
   | Bc.Jmp p -> exec t c fr p
   | Bc.Cbr (r, pt, pf) ->
@@ -1078,7 +954,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
           else fr.regs.(i) <- vals.(j))
         dsts;
       exec t c fr (pc + 1)
-  | Bc.TrapI msg -> Interp.trap "%s" msg
+  | Bc.TrapI msg -> State.trap "%s" msg
 
 (* -- frame pool -- *)
 
@@ -1099,30 +975,22 @@ let fresh_frame (c : Bc.code) : Bc.frame =
   List.iter (fun (s, v) -> iregs.(s) <- v) c.Bc.c_consts_i;
   List.iter (fun (s, v) -> fregs.(s) <- v) c.Bc.c_consts_f;
   List.iter (fun (s, v) -> lregs.(s) <- v) c.Bc.c_consts_l;
-  let f = c.Bc.c_fn in
   let cls = c.Bc.c_cls and idx = c.Bc.c_idx in
   (* class-aware boxed view of the banks, used only by the fallback
-     instructions compiled through [Interp.exec_instr] *)
-  let env : Interp.env =
-    {
-      Interp.vals = regs;
-      get =
-        (fun o ->
-          match o with
-          | Var v ->
-              if v < Array.length cls then begin
-                let k = Array.unsafe_get cls v in
-                if k = 1 then Value.I (Int64.of_int iregs.(idx.(v)))
-                else if k = 2 then Value.F fregs.(idx.(v))
-                else if k = 3 then Value.I lregs.(idx.(v))
-                else regs.(idx.(v))
-              end
-              else Value.Unit
-          | Const cn -> Bc.box_const cn);
-      oty = Pir.Func.ty_of_operand f;
-    }
+     instructions compiled through [State.exec] *)
+  let get = function
+    | Var v ->
+        if v < Array.length cls then begin
+          let k = Array.unsafe_get cls v in
+          if k = 1 then Value.I (Int64.of_int iregs.(idx.(v)))
+          else if k = 2 then Value.F fregs.(idx.(v))
+          else if k = 3 then Value.I lregs.(idx.(v))
+          else regs.(idx.(v))
+        end
+        else Value.Unit
+    | Const cn -> Bc.box_const cn
   in
-  { Bc.regs; iregs; fregs; lregs; env }
+  { Bc.regs; iregs; fregs; lregs; get }
 
 let enter t (c : Bc.code) (args : Value.t list) : Value.t =
   let fr =
@@ -1139,11 +1007,11 @@ let enter t (c : Bc.code) (args : Value.t list) : Value.t =
     match remaining with
     | [] ->
         if j <> np then
-          Interp.trap "call to %s with %d args (expected %d)"
+          State.trap "call to %s with %d args (expected %d)"
             c.Bc.c_fn.Pir.Func.fname (List.length args) np
     | a :: rest ->
         if j >= np then
-          Interp.trap "call to %s with %d args (expected %d)"
+          State.trap "call to %s with %d args (expected %d)"
             c.Bc.c_fn.Pir.Func.fname (List.length args) np;
         let p = params.(j) in
         let k = cls.(p) in
@@ -1154,9 +1022,9 @@ let enter t (c : Bc.code) (args : Value.t list) : Value.t =
         bind (j + 1) rest
   in
   bind 0 args;
-  let mark = Memory.mark t.it.Interp.mem in
+  let mark = Memory.mark t.st.mem in
   let result = exec t c fr 0 in
-  Memory.release t.it.Interp.mem mark;
+  Memory.release t.st.mem mark;
   (* frames are returned to the pool only on clean exit: after a trap
      the frame is simply dropped (constants are never overwritten, but
      there is no point recycling mid-abort) *)
@@ -1169,102 +1037,59 @@ let rec code_of t (f : Pir.Func.t) : Bc.code =
   match Hashtbl.find_opt t.codes f.Pir.Func.fname with
   | Some c when c.Bc.c_fn == f && c.Bc.c_blocks == f.Pir.Func.blocks -> c
   | _ ->
-      let c = Bc.compile ~model:t.it.Interp.model ~resolve:(resolve t) f in
+      (* both shapes of callee go through [call]: SPMD-annotated ones
+         run one gang on [gangs] (over this VM's state), serial ones
+         are compiled lazily on first call and memoized.  Routing
+         through [call] also keeps the profiling call tree identical
+         under both engines. *)
+      let c = Bc.compile ~call:(call t) t.modul f in
       Hashtbl.replace t.codes f.Pir.Func.fname c;
       c
 
-and resolve t name : Bc.callee =
-  if
-    Pir.Intrinsics.is_math name || Pir.Intrinsics.is_sleef name
-    || Pir.Intrinsics.is_ispc name
-  then Bc.KMath name
-  else if Pir.Intrinsics.is_psim name then
-    Bc.KTrap (Fmt.str "Parsimony intrinsic %s outside SPMD execution" name)
-  else
-    match Pir.Func.find_func_opt t.it.Interp.modul name with
-    | Some callee ->
-        (* both shapes go through [call]: SPMD-annotated callees get
-           their programming-model semantics from the interpreter's
-           reference gang executor (which shares this VM's memory,
-           stats and fuel), serial callees are compiled lazily on
-           first call and memoized.  Routing through [call] also keeps
-           the profiling call tree identical under both engines. *)
-        Bc.KFunc (fun args -> call t callee args)
-    | None -> Bc.KTrap (Fmt.str "call to unknown function %s" name)
-
 and call t (f : Pir.Func.t) args : Value.t =
-  if t.it.Interp.profile then begin
-    Interp.prof_push t.it f.Pir.Func.fname;
+  if t.st.profile then begin
+    State.prof_push t.st f.Pir.Func.fname;
     match call_body t f args with
     | v ->
-        Interp.prof_pop t.it;
+        State.prof_pop t.st;
         v
     | exception e ->
-        Interp.prof_pop t.it;
+        State.prof_pop t.st;
         raise e
   end
   else call_body t f args
 
 and call_body t (f : Pir.Func.t) args : Value.t =
   match f.Pir.Func.spmd with
-  | Some _ -> Interp.run_spmd_gang t.it f args
+  | Some _ -> Interp.run_spmd_gang t.gangs f args
   | None -> enter t (code_of t f) args
 
-(** Run function [name] with [args]; returns its result.  Mirrors
-    [Interp.run], publishing under the ["vm"] engine label. *)
+(** Run function [name] with [args]; returns its result.  Statistics
+    are published under the ["vm"] engine label. *)
 let run t name args =
-  let it = t.it in
-  let before =
-    if Pobs.Metrics.enabled () then Some (Stats.copy it.Interp.stats) else None
-  in
-  let finish () =
-    Interp.flush_cycles it;
-    Option.iter
-      (fun b -> Stats.publish ~engine:"vm" ~before:b it.Interp.stats)
-      before
-  in
-  match call t (Pir.Func.find_func it.Interp.modul name) args with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+  State.run t.st ~engine:"vm" call t (Pir.Func.find_func t.modul name) args
 
 (* -- profiling ---------------------------------------------------------
 
-   The flag lives on the embedded interpreter, so one switch drives
-   both the VM's Acct counters and the interpreter-side attribution of
-   SPMD gangs / delegated calls.  [capture] merges the two by (func,
-   block) key: a block executed under both engines (e.g. a serial
-   helper called both from compiled code and from inside a gang) sums
-   its rows, exactly as a single-engine run would have. *)
+   One flag ([State.t.profile]) drives both the VM's Acct counters and
+   the interpreter-side attribution of SPMD gangs.  [capture] merges
+   the two by (func, block) key: a block executed under both engines
+   (e.g. a serial helper called both from compiled code and from inside
+   a gang) sums its rows, exactly as a single-engine run would have. *)
 
-let set_profile t on = Interp.set_profile t.it on
-
-let reset_profile t =
-  Interp.reset_profile t.it;
-  Hashtbl.iter
-    (fun _ (c : Bc.code) ->
-      Array.fill c.Bc.c_pent 0 (Array.length c.Bc.c_pent) 0)
-    t.codes
-
-(** Typed profile of everything executed since creation (or the last
-    [reset_profile]).  Note [code_of] recompiles a function (dropping
-    its counters) if it is structurally modified between runs — run
-    the passes first, as usual. *)
+(** Typed profile of everything executed since creation.  Note
+    [code_of] recompiles a function (dropping its counters) if it is
+    structurally modified between runs — run the passes first, as
+    usual. *)
 let capture t : Profile.t =
-  let it = t.it in
-  Interp.flush_cycles it;
-  Interp.prof_flush it;
-  (* (func, block) -> (entries, instrs, cycles), interp side first *)
+  (* (func, block) -> (entries, instrs, cycles), gang side first *)
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Interp.block_profile) ->
       Hashtbl.replace tbl (r.bp_func, r.bp_block)
         (r.bp_entries, r.bp_instrs, r.bp_cycles))
-    (Interp.profile_report it);
-  let mix = Interp.profile_mix it in
+    (Interp.profile_report t.gangs);
+  let mix = Interp.profile_mix t.gangs in
   Hashtbl.iter
     (fun _ (c : Bc.code) ->
       let fname = c.Bc.c_fn.Pir.Func.fname in
@@ -1279,12 +1104,10 @@ let capture t : Profile.t =
             (* derived attribution: charges are dyadic (quantized cost
                schedule), so [entries * charge] is exact and equals the
                interpreter's per-entry accumulation bit for bit *)
+            let ef = float_of_int e in
             let cy =
-              if it.Interp.count_cost then
-                let ef = float_of_int e in
-                (ef *. Float.Array.get c.Bc.c_pphi ix)
-                +. (ef *. Float.Array.get c.Bc.c_pbody ix)
-              else 0.0
+              let sums = c.Bc.c_psums.(ix) in
+              (ef *. sums.(0)) +. (ef *. sums.(1))
             in
             Hashtbl.replace tbl key
               (e0 + e, i0 + (e * c.Bc.c_pn.(ix)), cy0 +. cy)
@@ -1318,6 +1141,4 @@ let capture t : Profile.t =
       tbl []
   in
   let opcode_mix = Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) mix [] in
-  Profile.v ~engine:"vm" ~blocks ~opcode_mix
-    ~folded:(Profile.folded_of_root it.Interp.prof_root)
-    ~total_cycles:it.Interp.stats.cycles ~total_instrs:it.Interp.stats.instrs
+  State.capture t.st ~engine:"vm" ~blocks ~opcode_mix

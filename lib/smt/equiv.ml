@@ -289,7 +289,7 @@ let run_side ~opts ~lookup (st : Symexec.state) (ctx : Symexec.ctx) (f : Func.t)
   | Symexec.Unsupported m -> RBounded m
   | Symexec.Fuel_exhausted -> RBounded "instruction fuel exhausted"
   | Invalid_argument m -> RBounded ("evaluator: " ^ m)
-  | Pmachine.Interp.Trap m -> RBounded ("trap: " ^ m)
+  | Pmachine.State.Trap m -> RBounded ("trap: " ^ m)
 
 (* Control variables that must be enumerated, in concretization order. *)
 type conc_set = { mutable names : (string * domain) list (* newest last *) }

@@ -24,7 +24,7 @@
     The module mirrors the reference semantics of [Pmachine]:
     {!Eval.pure_op} for data operations (including exact fold orders of
     reductions and float rounding through [Value.round_float]) and
-    [Interp.exec_instr] for memory.  SPMD reference execution runs on
+    [State.exec] for memory.  SPMD reference execution runs on
     {!Pmachine.Gang} itself — the cooperative sequential-threads
     scheduler, horizontal-operation parking and lane routing,
     partial-gang activation — the same module the interpreter runs

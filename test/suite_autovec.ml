@@ -16,7 +16,7 @@ let run ?(autovec = false) src ~host ~arrays ~scalars =
   let reports = if autovec then Pautovec.Autovec.run_module m else [] in
   if autovec then Panalysis.Check.check_module m;
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let addrs =
     List.map
       (fun (s, vals) -> Pmachine.Memory.alloc_array mem s vals)
@@ -32,7 +32,7 @@ let run ?(autovec = false) src ~host ~arrays ~scalars =
         Pmachine.Memory.read_array mem s addr (Array.length vals))
       addrs arrays
   in
-  (out, reports, t.Pmachine.Interp.stats)
+  (out, reports, Pmachine.Interp.stats t)
 
 let i32s = Array.map (fun x -> Pmachine.Value.I (Int64.of_int x))
 
@@ -243,7 +243,7 @@ void roots(float32* restrict a, float32* restrict b, int64 n) {
   Alcotest.(check int) "not vectorized (libm call)" 0
     (List.length (Pautovec.Autovec.vectorized_loops r));
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let aa = Pmachine.Memory.alloc_array mem Types.F32 a in
   let bb = Pmachine.Memory.alloc_array mem Types.F32 zero in
   ignore

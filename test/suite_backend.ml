@@ -9,7 +9,7 @@ let valt = Alcotest.testable Pmachine.Value.pp Pmachine.Value.equal
 
 let run_module m host args ~bufspec =
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let addrs =
     List.map
       (fun (s, vals) -> Pmachine.Memory.alloc_array mem s vals)

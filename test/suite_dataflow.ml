@@ -681,7 +681,7 @@ let run_branchy opts =
   let cfg = { Pharness.Pipeline.default with opts } in
   let m, reports = Pharness.Pipeline.compile ~cfg ~name:"fb" branchy_src in
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let n = 16 in
   let buf init =
     let addr = Pmachine.Memory.alloc mem ((n * 4) + 64) in

@@ -21,7 +21,7 @@ let run_i32 ?(vectorize = false) ?opts src ~host ~arrays ~scalars =
     Panalysis.Check.check_module m
   end;
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let addrs =
     List.map (fun vals -> Pmachine.Memory.alloc_array mem Types.I32 vals) arrays
   in

@@ -156,15 +156,39 @@ let test_builder_long_block () =
   | Error es -> Alcotest.failf "verifier rejected: %s" (Verifier.errors_to_string es)
 
 let test_verifier_rejects () =
-  let f = Func.create "bad" ~params:[ (0, Types.i32) ] ~ret:Types.i32 in
-  let b = Builder.create f in
   (* type mismatch: i32 + f32 *)
-  let x = Builder.ins b Types.i32 (Instr.Ibin (Instr.Add, Instr.Var 0, Instr.cf32 1.0)) in
-  Builder.ret b (Some x);
-  Builder.finish b;
-  match Verifier.verify_func f with
-  | Ok () -> Alcotest.fail "verifier accepted ill-typed add"
-  | Error _ -> ()
+  let bad_add =
+    let f = Func.create "bad" ~params:[ (0, Types.i32) ] ~ret:Types.i32 in
+    let b = Builder.create f in
+    let x =
+      Builder.ins b Types.i32 (Instr.Ibin (Instr.Add, Instr.Var 0, Instr.cf32 1.0))
+    in
+    Builder.ret b (Some x);
+    Builder.finish b;
+    f
+  in
+  (* an 8-lane scatter under a 4-lane mask *)
+  let bad_scatter_mask =
+    let f =
+      Func.create "badscatter" ~params:[ (0, Types.Ptr Types.I32) ] ~ret:Types.Void
+    in
+    let b = Builder.create f in
+    Builder.ins_unit b
+      (Instr.Scatter
+         ( Instr.cvec Types.I32 (Array.make 8 7L),
+           Instr.Var 0,
+           Instr.iota Types.I32 8,
+           Some (Instr.cvec Types.I1 (Array.make 4 1L)) ));
+    Builder.ret_void b;
+    Builder.finish b;
+    f
+  in
+  List.iter
+    (fun (what, f) ->
+      match Verifier.verify_func f with
+      | Ok () -> Alcotest.failf "verifier accepted %s" what
+      | Error _ -> ())
+    [ ("ill-typed add", bad_add); ("scatter with a 4-lane mask", bad_scatter_mask) ]
 
 let test_verifier_rejects_bad_label () =
   let f = Func.create "badlbl" ~params:[] ~ret:Types.Void in

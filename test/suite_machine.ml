@@ -257,7 +257,7 @@ let test_memory_resident_saxpy () =
   within_twice_break "run"
 
 (* Integer loads below 2^16 share [Pmachine.Value]'s cells; the table
-   lives there alone ([Bc.box64] reads it too). *)
+   lives there alone ([Value.box64] reads it too). *)
 let test_memory_shared_cells () =
   let m = Pmachine.Memory.create () in
   let a = Pmachine.Memory.alloc m 64 in
@@ -287,7 +287,7 @@ let test_memory_shared_cells () =
         (I64, Int64.min_int); (I64, -1L);
       ];
   (* [box64] fills the slot on first use, so it runs first *)
-  let b = Pmachine.Bc.box64 1234 in
+  let b = Pmachine.Value.box64 1234 in
   Alcotest.(check bool) "box64 reads Value.small64" true
     (b == Pmachine.Value.small64.(1234))
 
@@ -343,7 +343,7 @@ let test_interp_branch_loop () =
   Panalysis.Check.check_func f;
   let r, t = run_fn f [ Pmachine.Value.I 10L ] in
   Alcotest.check valt "sum 0..9" (Pmachine.Value.I 45L) r;
-  Alcotest.(check bool) "cycles accumulated" true (t.Pmachine.Interp.stats.cycles > 0.0)
+  Alcotest.(check bool) "cycles accumulated" true ((Pmachine.Interp.stats t).cycles > 0.0)
 
 let test_interp_vector_ops () =
   let f = Func.create "vec" ~params:[ (0, Types.Ptr Types.I32) ] ~ret:Types.i32 in
@@ -357,7 +357,7 @@ let test_interp_vector_ops () =
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
   let addr =
-    Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+    Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.I32
       (Array.map (fun x -> Pmachine.Value.I x) [| 10L; 20L; 30L; 40L |])
   in
   let r = Pmachine.Interp.run t "vec" [ Pmachine.Value.I (Int64.of_int addr) ] in
@@ -376,11 +376,11 @@ let test_interp_masked_store () =
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
   let addr =
-    Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+    Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.I32
       (Array.make 4 (Pmachine.Value.I 1L))
   in
   ignore (Pmachine.Interp.run t "mst" [ Pmachine.Value.I (Int64.of_int addr) ]);
-  let out = Pmachine.Memory.read_array t.Pmachine.Interp.mem Types.I32 addr 4 in
+  let out = Pmachine.Memory.read_array (Pmachine.Interp.mem t) Types.I32 addr 4 in
   Alcotest.check (Alcotest.array valt) "masked lanes untouched"
     [| Pmachine.Value.I 7L; Pmachine.Value.I 1L; Pmachine.Value.I 7L; Pmachine.Value.I 1L |]
     out
@@ -405,11 +405,11 @@ let test_interp_gather_cost_exceeds_packed () =
     Func.add_func m f;
     let t = Pmachine.Interp.create m in
     let addr =
-      Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.F32
+      Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.F32
         (Array.make 16 (Pmachine.Value.F 0.))
     in
     ignore (Pmachine.Interp.run t f.Func.fname [ Pmachine.Value.I (Int64.of_int addr) ]);
-    t.Pmachine.Interp.stats.cycles
+    (Pmachine.Interp.stats t).cycles
   in
   let cg = run (mk true) and cp = run (mk false) in
   Alcotest.(check bool)
@@ -449,7 +449,7 @@ let run_interp (f : Func.t) ~bufs ~tail =
   let m = Func.create_module "t" in
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let addrs =
     List.map
       (fun b ->
@@ -462,7 +462,7 @@ let run_interp (f : Func.t) ~bufs ~tail =
     @ List.map (fun v -> Pmachine.Value.I v) tail
   in
   match Pmachine.Interp.run t f.fname args with
-  | exception Pmachine.Interp.Trap msg -> Fault msg
+  | exception Pmachine.State.Trap msg -> Fault msg
   | _ ->
       Bufs
         (List.map2

@@ -191,7 +191,7 @@ let test_profiler_matches_stats () =
       (Pharness.Runner.ParsimonyImpl Parsimony.Options.default)
   in
   let t = Pmachine.Interp.create ~profile:true m in
-  let mem = t.Pmachine.Interp.mem in
+  let mem = Pmachine.Interp.mem t in
   let addrs =
     List.map
       (fun (b : Workload.buffer) ->
@@ -219,7 +219,7 @@ let test_profiler_matches_stats () =
       (fun acc (r : Pmachine.Interp.block_profile) -> acc +. r.bp_cycles)
       0.0 report
   in
-  let stats = t.Pmachine.Interp.stats in
+  let stats = Pmachine.Interp.stats t in
   (* instruction attribution is exact *)
   Alcotest.(check int) "per-block instrs sum to stats" stats.instrs instrs;
   (* cycle attribution agrees up to float summation order *)
@@ -228,7 +228,9 @@ let test_profiler_matches_stats () =
     Alcotest.failf "per-block cycles %f vs stats %f (rel err %g)" cycles
       stats.cycles rel;
   (* the report renders, and reset really zeroes it *)
-  let rendered = Fmt.str "%a" (Pmachine.Interp.pp_profile ~limit:5) t in
+  let rendered =
+    Fmt.str "%a" (Pmachine.Profile.pp ~limit:5) (Pmachine.Interp.capture t)
+  in
   Alcotest.(check bool) "report renders hot blocks" true
     (contains rendered k.kname);
   Pmachine.Interp.reset_profile t;

@@ -14,9 +14,9 @@ let run_func (f : Func.t) args mem_setup =
   let m = Func.create_module "t" in
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
-  let extra = mem_setup t.Pmachine.Interp.mem in
+  let extra = mem_setup (Pmachine.Interp.mem t) in
   ignore (Pmachine.Interp.run t f.fname (args @ extra));
-  t.Pmachine.Interp.mem
+  (Pmachine.Interp.mem t)
 
 let test_cse_merges_pure_and_loads () =
   let f = Func.create "cse" ~params:[ (0, Types.Ptr Types.I32) ] ~ret:Types.i32 in
@@ -88,11 +88,11 @@ let test_store_coalescing () =
     Func.add_func m f;
     let t = Pmachine.Interp.create m in
     let a =
-      Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+      Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.I32
         (Array.make 4 (Pmachine.Value.I 99L))
     in
     ignore (Pmachine.Interp.run t "co" [ Pmachine.Value.I (Int64.of_int a) ]);
-    Pmachine.Memory.read_array t.Pmachine.Interp.mem Types.I32 a 4
+    Pmachine.Memory.read_array (Pmachine.Interp.mem t) Types.I32 a 4
   in
   let before = exec (build ()) in
   let f = build () in
@@ -202,11 +202,11 @@ let chunk_stores lanes =
     Func.add_func m f;
     let t = Pmachine.Interp.create m in
     let a =
-      Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+      Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.I32
         (Array.make 8 (Pmachine.Value.I 99L))
     in
     ignore (Pmachine.Interp.run t "chunk" [ Pmachine.Value.I (Int64.of_int a) ]);
-    Pmachine.Memory.read_array t.Pmachine.Interp.mem Types.I32 a 8
+    Pmachine.Memory.read_array (Pmachine.Interp.mem t) Types.I32 a 8
   in
   (build, exec)
 
@@ -298,13 +298,13 @@ void edges(int32* a, int64 n) {
   (* and execution is still correct across all gang positions *)
   let t = Pmachine.Interp.create m in
   let a =
-    Pmachine.Memory.alloc_array t.Pmachine.Interp.mem Types.I32
+    Pmachine.Memory.alloc_array (Pmachine.Interp.mem t) Types.I32
       (Array.make 24 (Pmachine.Value.I 0L))
   in
   ignore
     (Pmachine.Interp.run t "edges"
        [ Pmachine.Value.I (Int64.of_int a); Pmachine.Value.I 21L ]);
-  let out = Pmachine.Memory.read_array t.Pmachine.Interp.mem Types.I32 a 24 in
+  let out = Pmachine.Memory.read_array (Pmachine.Interp.mem t) Types.I32 a 24 in
   Array.iteri
     (fun i v ->
       let expect =

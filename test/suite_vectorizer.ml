@@ -17,7 +17,7 @@ let execute (f : Func.t) ~gangs ~num_threads ~setup =
   let m = Func.create_module "t" in
   Func.add_func m f;
   let t = Pmachine.Interp.create m in
-  let args, read = setup t.Pmachine.Interp.mem in
+  let args, read = setup (Pmachine.Interp.mem t) in
   for g = 0 to gangs - 1 do
     ignore
       (Pmachine.Interp.run t f.Func.fname

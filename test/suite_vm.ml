@@ -4,7 +4,8 @@
    cycle totals), cross-engine profile parity (per-block attribution
    sums to each engine's own Stats and agrees bit for bit across
    engines), the zero-cost-when-off property of attribution, frame-pool
-   reuse, and recursive calls. *)
+   reuse, recursive calls, and each vector memory access against its
+   scalar expansion on both engines. *)
 
 open Pir
 
@@ -254,10 +255,10 @@ let test_vm_recursion () =
     (Pmachine.Interp.run it "fact" [ Pmachine.Value.I 10L ]);
   Alcotest.(check bool)
     (Fmt.str "cycles agree: %.17g vs %.17g" (Pmachine.Vm.stats vm).cycles
-       it.Pmachine.Interp.stats.cycles)
+       (Pmachine.Interp.stats it).cycles)
     true
-    ((Pmachine.Vm.stats vm).cycles = it.Pmachine.Interp.stats.cycles);
-  Alcotest.(check int) "instrs agree" it.Pmachine.Interp.stats.instrs
+    ((Pmachine.Vm.stats vm).cycles = (Pmachine.Interp.stats it).cycles);
+  Alcotest.(check int) "instrs agree" (Pmachine.Interp.stats it).instrs
     (Pmachine.Vm.stats vm).instrs
 
 let test_vm_frame_pool () =
@@ -300,6 +301,316 @@ let test_vm_pool_constants () =
       (Pmachine.Vm.run vm "axpb" [ Pmachine.Value.I (Int64.of_int i) ])
   done
 
+(* -- each vector access against its scalar expansion --
+
+   Both engines run the vector accesses through one set of lane loops,
+   so comparing them with each other cannot catch a wrong lane order,
+   fault order or inactive-lane value.  The scalar expansion can: it
+   does one scalar load or store per active lane, in lane order, reads
+   zero for an inactive lane, and runs no lane loop at all.  Every
+   access kind, element type and masking runs on both engines, twice
+   per case with different data (masks come from buffer contents, so
+   the VM's second call reuses a pooled frame's private registers under
+   another mask); results or fault texts and memory snapshots must
+   equal the expansion's, and each function's stats must agree across
+   engines. *)
+
+type access = Load_packed | Store_packed | Gather | Scatter
+
+let access_name = function
+  | Load_packed -> "packed load"
+  | Store_packed -> "packed store"
+  | Gather -> "gather"
+  | Scatter -> "scatter"
+
+let lanes = 8
+
+(* simulated memory ends here: accesses at or past it fault *)
+let limit = 8192
+
+(* parameters: mask source and indices (i32 buffers), store values, load
+   results, and the accessed base *)
+let mbuf = Instr.Var 0 and ibuf = Instr.Var 1 and src = Instr.Var 2
+and out = Instr.Var 3 and base = Instr.Var 4
+
+let access_fn name s body =
+  let f =
+    Func.create name ~ret:Types.Void
+      ~params:
+        [
+          (0, Types.Ptr Types.I32); (1, Types.Ptr Types.I32); (2, Types.Ptr s);
+          (3, Types.Ptr s); (4, Types.Ptr s);
+        ]
+  in
+  let b = Builder.create f in
+  body b;
+  Builder.ret_void b;
+  Builder.finish b;
+  (match Verifier.verify_func f with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s is ill-typed: %s" name (Verifier.errors_to_string e));
+  f
+
+let vector_fn s acc ~masked =
+  access_fn "vec" s (fun b ->
+      let mask =
+        if not masked then None
+        else
+          let mv = Builder.vload b mbuf lanes in
+          Some (Builder.icmp b Instr.Ne mv (Instr.cvec Types.I32 (Array.make lanes 0L)))
+      in
+      let observe v =
+        for l = 0 to lanes - 1 do
+          Builder.store b
+            (Builder.extract b v (Instr.ci32 l))
+            (Builder.gep b out (Instr.ci32 l))
+        done
+      in
+      match acc with
+      | Load_packed -> observe (Builder.vload b ?mask base lanes)
+      | Gather ->
+          let idx = Builder.vload b ibuf lanes in
+          observe (Builder.gather b ?mask base idx)
+      | Store_packed -> Builder.vstore b ?mask (Builder.vload b src lanes) base
+      | Scatter ->
+          let v = Builder.vload b src lanes in
+          let idx = Builder.vload b ibuf lanes in
+          Builder.scatter b ?mask v base idx)
+
+let zero_of (s : Types.scalar) =
+  match s with
+  | Types.F32 -> Instr.cf32 0.0
+  | Types.F64 -> Instr.cf64 0.0
+  | s -> Instr.cint s 0L
+
+let expansion_fn s acc ~masked =
+  access_fn "exp" s (fun b ->
+      let cur = ref "entry" in
+      let addr l =
+        match acc with
+        | Load_packed | Store_packed -> Builder.gep b base (Instr.ci32 l)
+        | Gather | Scatter ->
+            Builder.gep b base (Builder.load b (Builder.gep b ibuf (Instr.ci32 l)))
+      in
+      (* run [k] only if lane [l] is active; what it loads reads zero
+         when the lane is not *)
+      let guarded l k =
+        if not masked then k ()
+        else begin
+          let m = Builder.load b (Builder.gep b mbuf (Instr.ci32 l)) in
+          let on = Fmt.str "on%d" l and after = Fmt.str "after%d" l in
+          let from = !cur in
+          Builder.condbr b (Builder.icmp b Instr.Ne m (Instr.ci32 0)) on after;
+          Builder.position b (Builder.add_block b on);
+          let r = k () in
+          Builder.br b after;
+          Builder.position b (Builder.add_block b after);
+          cur := after;
+          Option.map
+            (fun x -> Builder.phi b (Types.Scalar s) [ (from, zero_of s); (on, x) ])
+            r
+        end
+      in
+      match acc with
+      | Load_packed | Gather ->
+          let xs =
+            Array.init lanes (fun l ->
+                Option.get (guarded l (fun () -> Some (Builder.load b (addr l)))))
+          in
+          Array.iteri (fun l x -> Builder.store b x (Builder.gep b out (Instr.ci32 l))) xs
+      | Store_packed | Scatter ->
+          for l = 0 to lanes - 1 do
+            let x = Builder.load b (Builder.gep b src (Instr.ci32 l)) in
+            ignore
+              (guarded l (fun () ->
+                   Builder.store b x (addr l);
+                   None))
+          done)
+
+(* one call's data: lane activity, indices, and for packed accesses how
+   many elements before the end of memory the base lies *)
+type data = { mask : int array; idx : int array; at_end : int option }
+
+type bufs = { mb : int; ib : int; sb : int; ob : int; region : int }
+
+let layout mem (s : Types.scalar) =
+  let esz = Types.scalar_bytes s in
+  let mb = Pmachine.Memory.alloc mem (4 * lanes) in
+  let ib = Pmachine.Memory.alloc mem (4 * lanes) in
+  let sb = Pmachine.Memory.alloc mem (esz * lanes) in
+  let ob = Pmachine.Memory.alloc mem (esz * lanes) in
+  (* the accessed region runs to the end of memory, so every byte an
+     access can reach is in the snapshot *)
+  let at = (Pmachine.Memory.mark mem + 63) / 64 * 64 in
+  let region = Pmachine.Memory.alloc mem (limit - at) in
+  { mb; ib; sb; ob; region }
+
+let elem (s : Types.scalar) salt i : Pmachine.Value.t =
+  match s with
+  | Types.F32 | Types.F64 -> Pmachine.Value.F (float_of_int ((salt * 100) + i) *. 0.75)
+  | Types.I64 ->
+      Pmachine.Value.I
+        (Int64.add (Int64.shift_left (Int64.of_int (salt + i)) 36) (Int64.of_int i))
+  | s ->
+      Pmachine.Value.I
+        (Ints.norm (Types.scalar_bits s) (Int64.of_int ((salt * 97) + (i * 41) + 130)))
+
+let fill mem s bufs salt (d : data) =
+  let esz = Types.scalar_bytes s in
+  let st = Pmachine.Memory.store_scalar mem in
+  let i32 x = Pmachine.Value.I (Int64.of_int (x land 0xFFFF_FFFF)) in
+  Array.iteri (fun l m -> st Types.I32 (bufs.mb + (4 * l)) (i32 m)) d.mask;
+  Array.iteri (fun l x -> st Types.I32 (bufs.ib + (4 * l)) (i32 x)) d.idx;
+  for l = 0 to lanes - 1 do
+    st s (bufs.sb + (esz * l)) (elem s (salt + 1) l);
+    st s (bufs.ob + (esz * l)) (elem s (salt + 2) l)
+  done;
+  for i = 0 to 15 do
+    st s (bufs.region + (esz * i)) (elem s salt i)
+  done;
+  for i = 1 to lanes do
+    st s (limit - (esz * i)) (elem s (salt + 3) i)
+  done
+
+(* run [fn] on a fresh engine, once per data set; each call's outcome and
+   memory snapshot, then the engine's stats *)
+let run_access m s kind fn datas =
+  let mem = Pmachine.Memory.create ~size:limit () in
+  let bufs = layout mem s in
+  let t = Pmachine.Engine.create ~kind ~mem m in
+  let calls =
+    List.mapi
+      (fun salt d ->
+        fill mem s bufs (salt + 1) d;
+        let p =
+          match d.at_end with
+          | None -> bufs.region
+          | Some k -> limit - (k * Types.scalar_bytes s)
+        in
+        let args =
+          List.map
+            (fun a -> Pmachine.Value.I (Int64.of_int a))
+            [ bufs.mb; bufs.ib; bufs.sb; bufs.ob; p ]
+        in
+        let outcome =
+          match Pmachine.Engine.run t fn args with
+          | _ -> "ok"
+          | exception Pmachine.Memory.Fault msg -> "fault: " ^ msg
+          | exception Pmachine.State.Trap msg -> "trap: " ^ msg
+        in
+        (outcome, Pmachine.Memory.snapshot mem))
+      datas
+  in
+  (calls, Pmachine.Engine.stats t)
+
+let ok = "ok"
+
+let huge = 1 lsl 20
+
+(* (case, calls, whether each call faults) *)
+let access_cases acc ~masked =
+  let on = Array.make lanes 1 in
+  let idx = [| 3; 0; 7; 12; 5; 9; 1; 14 |] in
+  let packed = match acc with Load_packed | Store_packed -> true | _ -> false in
+  let d ?(mask = on) ?(idx = idx) ?at_end () = { mask; idx; at_end } in
+  let with_lane a l x =
+    let a = Array.copy a in
+    a.(l) <- x;
+    a
+  in
+  [
+    ( "in bounds",
+      [
+        d ~mask:[| 1; 0; 1; 1; 0; 0; 1; 0 |] ();
+        d ~mask:[| 0; 1; 1; 0; 1; 1; 0; 1 |] ~idx:[| 15; 2; 4; 6; 8; 10; 11; 13 |] ();
+      ],
+      false );
+  ]
+  @ (if not masked then []
+     else
+       [
+         ( "out-of-bounds inactive lane",
+           (if packed then
+              [
+                d ~mask:[| 1; 0; 1; 1; 0; 0; 0; 0 |] ~at_end:5 ();
+                d ~mask:[| 1; 1; 0; 0; 0; 0; 0; 0 |] ~at_end:2 ();
+              ]
+            else
+              [
+                d ~mask:[| 1; 1; 0; 1; 0; 1; 1; 1 |] ~idx:(with_lane idx 2 huge) ();
+                d ~mask:[| 0; 1; 1; 1; 1; 1; 0; 1 |] ~idx:(with_lane idx 6 (-1000)) ();
+              ]),
+           false );
+       ])
+  @ (if acc <> Scatter then []
+     else
+       [
+         ( "overlapping indices",
+           [
+             d ~mask:[| 1; 1; 1; 1; 0; 1; 1; 0 |] ~idx:[| 2; 5; 2; 7; 5; 2; 0; 7 |] ();
+             d ~mask:[| 1; 0; 1; 0; 1; 1; 0; 0 |] ~idx:(Array.make lanes 4) ();
+           ],
+           false );
+       ])
+  @ [
+      ( "out-of-bounds active lane mid-vector",
+        (if packed then
+           [ d ~at_end:5 (); d ~mask:[| 1; 0; 1; 0; 0; 1; 0; 0 |] ~at_end:2 () ]
+         else
+           [
+             d ~idx:(with_lane idx 4 huge) ();
+             d ~mask:[| 1; 1; 0; 0; 1; 1; 1; 1 |]
+               ~idx:(with_lane (with_lane idx 3 huge) 6 (-1000))
+               ();
+           ]),
+        true );
+    ]
+
+let check_access acc () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun masked ->
+          let m = Func.create_module "access" in
+          Func.add_func m (vector_fn s acc ~masked);
+          Func.add_func m (expansion_fn s acc ~masked);
+          List.iter
+            (fun (case, datas, faults) ->
+              let name =
+                Fmt.str "%s %a%s, %s" (access_name acc) Types.pp (Types.Scalar s)
+                  (if masked then " masked" else "")
+                  case
+              in
+              let ei, sei = run_access m s Pmachine.Engine.Interp "exp" datas in
+              let ev, sev = run_access m s Pmachine.Engine.Vm "exp" datas in
+              let vi, svi = run_access m s Pmachine.Engine.Interp "vec" datas in
+              let vv, svv = run_access m s Pmachine.Engine.Vm "vec" datas in
+              List.iteri
+                (fun k (expected, snap) ->
+                  Alcotest.(check bool)
+                    (Fmt.str "%s, call %d: %s" name k expected)
+                    faults
+                    (expected <> ok);
+                  List.iter
+                    (fun (who, calls) ->
+                      let got, snap' = List.nth calls k in
+                      Alcotest.(check string)
+                        (Fmt.str "%s, call %d: %s outcome" name k who)
+                        expected got;
+                      Alcotest.(check bool)
+                        (Fmt.str "%s, call %d: %s memory" name k who)
+                        true (Bytes.equal snap snap'))
+                    [ ("vm expansion", ev); ("interp vector", vi); ("vm vector", vv) ])
+                ei;
+              check_stats_equal (name ^ ": expansion stats") sei sev;
+              check_stats_equal (name ^ ": vector stats") svi svv;
+              Alcotest.(check bool)
+                (name ^ ": vector cycles") true
+                (feq svi.cycles svv.cycles))
+            (access_cases acc ~masked))
+        [ false; true ])
+    Types.[ I8; I16; I32; I64; F32; F64 ]
+
 let suites =
   [
     ( "vm",
@@ -318,5 +629,11 @@ let suites =
         Alcotest.test_case "frame pool reuse" `Quick test_vm_frame_pool;
         Alcotest.test_case "pooled constants stay intact" `Quick
           test_vm_pool_constants;
-      ] );
+      ]
+      @ List.map
+          (fun acc ->
+            Alcotest.test_case
+              (access_name acc ^ " = scalar expansion (both engines)")
+              `Quick (check_access acc))
+          [ Load_packed; Store_packed; Gather; Scatter ] );
   ]
