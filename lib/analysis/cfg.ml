@@ -45,12 +45,6 @@ let build (f : Pir.Func.t) : t =
 
 let reachable t name = Hashtbl.mem t.reached name
 
-(** Index of each block in reverse postorder (smaller = earlier). *)
-let rpo_index t =
-  let h = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace h n i) t.rpo;
-  h
-
 (** Back edges [(src, dst)] where [dst] occurs no later than [src] in RPO
     and [dst] dominates [src] is checked by callers via [Dom]. *)
 let edges t =

@@ -237,17 +237,3 @@ let to_json (c : t) : Pobs.Json.t =
       ("slp_packed_instrs", Pobs.Json.Int c.slp_packed_instrs);
       ("slp_rejects", Pobs.Json.Int c.slp_rejects);
     ]
-
-(** Compact per-kernel summary for the history store: enough to see a
-    coverage regression in a diff without bloating every JSONL line. *)
-let summary_json (c : t) : Pobs.Json.t =
-  Pobs.Json.Obj
-    [
-      ("pct_vectorized", Pobs.Json.Float c.pct_vectorized);
-      ("packed_mem", Pobs.Json.Int c.packed_mem);
-      ("shuffle_mem", Pobs.Json.Int c.shuffle_mem);
-      ("gather_mem", Pobs.Json.Int c.gather_mem);
-      ("scatter_mem", Pobs.Json.Int c.scatter_mem);
-      ("serialized_calls", Pobs.Json.Int c.serialized_calls);
-      ("mask_density", Pobs.Json.Float c.mask_density);
-    ]

@@ -1207,12 +1207,3 @@ let compile ?(name = "psimc") (src : string) : Pir.Func.modul =
           let extract_counter = ref 0 in
           List.iter (lower_func ~prog ~modul ~extract_counter) prog;
           modul))
-
-(** Compile from an AST (for tests that build programs directly). *)
-let compile_ast ?(name = "psimc") (prog : program) : Pir.Func.modul =
-  let prog = Desugar.desugar_program prog in
-  let prog = Inline.inline_program prog in
-  let modul = Pir.Func.create_module name in
-  let extract_counter = ref 0 in
-  List.iter (lower_func ~prog ~modul ~extract_counter) prog;
-  modul

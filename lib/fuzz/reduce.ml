@@ -114,13 +114,15 @@ let prog_variants (p : prog) : prog list =
   | Some e -> List.map (fun e' -> { p with fresult = Some e' }) (shrink_expr e)
   | None -> []
 
+(* the bound on predicate evaluations per reduction *)
+let max_tests = 400
+
 (** Greedily shrink [p] while [still_fails] holds (the caller's
     predicate should re-run the oracle and require the same triage
     bucket).  Returns the reduced program and the number of predicate
     evaluations spent.  [max_tests] bounds the work on pathological
     inputs; the result is then the best program found so far. *)
-let reduce ?(max_tests = 400) (still_fails : prog -> bool) (p0 : prog) :
-    prog * int =
+let reduce (still_fails : prog -> bool) (p0 : prog) : prog * int =
   let tests = ref 0 in
   let check p =
     if !tests >= max_tests then false

@@ -147,10 +147,6 @@ let kernel_source (opts : Parsimony.Options.t) name : string option =
          | Parsimony.Options.Parsimony -> k.psim_src
          | Parsimony.Options.SlpOptimal -> k.serial_src)
 
-(** [compile] on a source file; the module is named after the file. *)
-let compile_file ?cfg path =
-  compile ?cfg ~name:(Filename.basename path) (read_file path)
-
 (** Run the SPMD sanitizer (psan) over [src]: the scalar lowering gets
     the dataflow checks (cross-lane races, out-of-bounds accesses,
     uninitialized reads, dead stores), then the vectorized module gets
@@ -176,7 +172,3 @@ let lint ?(opts = Parsimony.Options.default) ~name src : Psan.finding list =
       let findings = Psan.sort_findings (scalar @ vectored) in
       Psan.emit_remarks findings;
       findings)
-
-(** [lint] on a source file. *)
-let lint_file ?opts path =
-  lint ?opts ~name:(Filename.basename path) (read_file path)

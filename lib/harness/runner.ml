@@ -98,11 +98,6 @@ let build_module (k : Workload.kernel) (impl : impl) : Pir.Func.modul =
   Parsimony.Simplify.run_module m;
   m
 
-(** Auto-vectorization outcome for a kernel (which loops vectorized). *)
-let autovec_report (k : Workload.kernel) =
-  let m = Compile_cache.compile ~name:k.kname k.serial_src in
-  Pautovec.Autovec.run_module m
-
 (** Vectorization coverage scorecard for [k]'s Parsimony build, rolled
     up across its SPMD functions (main gang + tail).  Runs the same
     compile → vectorize → simplify pipeline as [build_module], so the
@@ -197,11 +192,6 @@ let verify (k : Workload.kernel) : unit =
             expected)
         reference.outputs r.outputs)
     (List.tl results)
-
-(** Speedups of each implementation relative to [Scalar]. *)
-let speedups (k : Workload.kernel) ~impls : (string * float) list =
-  let base = (run k Scalar).cycles in
-  List.map (fun i -> (impl_name i, base /. (run k i).cycles)) impls
 
 let geomean xs =
   match xs with

@@ -97,10 +97,6 @@ let m_protocol_errors =
 let m_connections =
   Pobs.Metrics.counter "serve.connections" ~help:"connections accepted"
 
-let g_active_conns =
-  Pobs.Metrics.gauge "serve.active_connections"
-    ~help:"connections open at scrape time"
-
 let g_inflight =
   Pobs.Metrics.gauge "serve.inflight"
     ~help:"requests dispatched but not yet answered, at scrape time"

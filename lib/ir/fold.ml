@@ -1,5 +1,6 @@
-(** Constant folding of integer operations, shared by fact inference,
-    the rule checker, and IR simplification. *)
+(** The semantics of scalar integer operations, shared by constant
+    folding (fact inference, the rule checker, IR simplification), the
+    simulator and the symbolic executor. *)
 
 let ibin (k : Instr.ibin) w a b : int64 =
   let open Ints in

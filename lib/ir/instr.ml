@@ -289,7 +289,3 @@ let map_term_operands f = function
 let has_side_effects = function
   | Store _ | VStore _ | Scatter _ | Call _ -> true
   | _ -> false
-
-let reads_memory = function
-  | Load _ | VLoad _ | Gather _ | Call _ -> true
-  | _ -> false

@@ -2,9 +2,8 @@
 
     The tree-walking interpreter pays per executed instruction for work
     that is invariant across executions: the operator dispatch match,
-    operand resolution through closures, constant boxing, callee lookup
-    and per-instruction accounting.  [compile] pays all of it once per
-    function instead:
+    operand resolution through closures, constant boxing and callee
+    lookup.  [compile] pays all of it once per function instead:
 
     - SSA values are numbered into a flat register frame; operands
       become plain array indices.  Constants get frame slots past
@@ -59,11 +58,11 @@
 
 open Pir.Instr
 
-(* block-granular accounting charged on entry, mirroring the serial
-   interpreter's order exactly: fuel, instrs, vector_instrs, then the
-   phi and body cycle sums as two separate float additions *)
+(* block-granular accounting charged on entry, in the interpreter's
+   order ([Interp.enter]): fuel, instrs, vector_instrs, then the phi and
+   body cycle sums as two separate float additions *)
 type acct = {
-  a_ix : int;  (** source-block index (into [c_bnames]) for attribution *)
+  a_ix : int;  (** source-block index (into [c_pent]) for attribution *)
   a_n : int;  (** instructions in the block, phis included *)
   a_vec : int;  (** vector-typed instructions *)
   a_cyc : float array;
@@ -234,21 +233,11 @@ type code = {
           frame preallocates one array per register and the defining
           instruction (dst encoded as [lnot index]) writes lanes in
           place — the hot-loop result allocation disappears. *)
-  (* -- block / source-instruction map (profiling, disassembly) -- *)
-  c_bnames : string array;  (** block names, in function order *)
-  c_blkix : int array;
-      (** pc -> source-block index; phi-edge stubs map to their
-          successor, the entry trap slot to -1 *)
-  c_srcid : int array;
-      (** pc -> source instruction SSA id; -1 for synthesized slots
-          (Acct, terminators, stubs) *)
   (* -- attribution, indexed by block.  The only dynamic counter is
      [c_pent], bumped by [Vm]'s Acct dispatch while profiling is on
      (always allocated — one slot per block — so the off path pays
      nothing).  Instructions and cycles per entry are block constants,
-     so [Vm.capture] derives totals from the entry count alone: costs
-     are quantized to a dyadic grid, so [entries * charge] is exact and
-     bit-identical to the interpreter's per-entry accumulation. -- *)
+     so [Profile.v] derives the rows from the entry count alone. -- *)
   c_pent : int array;  (** block entries (dynamic) *)
   c_pn : int array;  (** accounted instructions per entry (static) *)
   c_psums : float array array;
@@ -333,7 +322,7 @@ let ibin_nat (k : ibin) w a b : int =
       let ua = a land m and ub = b land m in
       if ua >= ub then ua - ub else ub - ua
   | UAddSat | SAddSat | USubSat | SSubSat | MulHiS | MulHiU ->
-      Int64.to_int (Eval.ibin_scalar k w (Int64.of_int a) (Int64.of_int b))
+      Int64.to_int (Pir.Fold.ibin k w (Int64.of_int a) (Int64.of_int b))
 
 let iun_nat (k : iun) w a : int =
   let m = mask_nat w in
@@ -343,7 +332,7 @@ let iun_nat (k : iun) w a : int =
   | IAbs ->
       let s = sext_nat w a in
       if s >= 0 then s land m else -s land m
-  | Clz | Ctz | Popcnt -> Int64.to_int (Eval.iun_scalar k w (Int64.of_int a))
+  | Clz | Ctz | Popcnt -> Int64.to_int (Pir.Fold.iun k w (Int64.of_int a))
 
 let icmp_nat (p : ipred) w a b : bool =
   let m = mask_nat w in
@@ -380,9 +369,9 @@ let ibin64 (k : ibin) (a : int64) (b : int64) : int64 =
   | Shl | LShr | AShr | UDiv | SDiv | URem | SRem | SMin | SMax | UMin
   | UMax | UAddSat | SAddSat | USubSat | SSubSat | AvgrU | AbsDiffU | MulHiS
   | MulHiU ->
-      Eval.ibin_scalar k 64 a b
+      Pir.Fold.ibin k 64 a b
 
-let iun64 (k : iun) (a : int64) : int64 = Eval.iun_scalar k 64 a
+let iun64 (k : iun) (a : int64) : int64 = Pir.Fold.iun k 64 a
 
 (* allocation-free 64-bit compares: the unsigned ones branch on the
    sign bit instead of going through [Int64.unsigned_compare]'s
@@ -1075,13 +1064,6 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
       | Ret _ | Unreachable -> ())
     blocks;
   let insts = Array.make (max 1 !pc) RetU in
-  (* pc -> source block / source instruction, for attribution *)
-  let blkix = Array.make (max 1 !pc) (-1) in
-  let srcid = Array.make (max 1 !pc) (-1) in
-  let bix_of = Hashtbl.create 16 in
-  Array.iteri
-    (fun ix (b : Pir.Func.block) -> Hashtbl.replace bix_of b.bname ix)
-    blocks;
   let emit = ref 0 in
   let push x =
     insts.(!emit) <- x;
@@ -1103,22 +1085,18 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
          (Fmt.str "phi in %s has no incoming for predecessor $entry" f.fname));
   Array.iteri
     (fun bix (b : Pir.Func.block) ->
-      let bstart = !emit in
       let sched : Cost.block_sched = Hashtbl.find scheds b.bname in
       push
         (Acct
            {
              a_ix = bix;
              a_n = sched.cs_ninstrs;
-             a_vec = sched.cs_nvec_phi + sched.cs_nvec_body;
+             a_vec = sched.cs_nvec;
              a_cyc = sched.cs_sums;
            });
       List.iteri
         (fun j (i : instr) ->
-          if j >= sched.cs_nphis then begin
-            srcid.(!emit) <- i.id;
-            push (compile_instr i)
-          end)
+          if j >= sched.cs_nphis then push (compile_instr i))
         b.instrs;
       (match b.term with
       | Br l -> push (Jmp (target b.bname l))
@@ -1137,8 +1115,7 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
               esc o;
               push (RetB (si o)))
       | Unreachable ->
-          push (TrapI (Fmt.str "reached unreachable in %s" f.fname)));
-      Array.fill blkix bstart (!emit - bstart) bix)
+          push (TrapI (Fmt.str "reached unreachable in %s" f.fname))))
     blocks;
   (* edge stubs, in the order their pcs were assigned *)
   let stubs =
@@ -1150,7 +1127,6 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
   let phi_pars = ref [] in
   List.iter
     (fun (_, (pred, succ)) ->
-      let sstart = !emit in
       let b =
         Array.to_list blocks
         |> List.find (fun (b : Pir.Func.block) -> b.Pir.Func.bname = succ)
@@ -1251,9 +1227,7 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
           push (ParG (gets, dsts));
           push (Jmp (Hashtbl.find block_start succ))
         end
-      end;
-      (* stub slots (phi parallel copies) attribute to their successor *)
-      Array.fill blkix sstart (!emit - sstart) (Hashtbl.find bix_of succ))
+      end)
     stubs;
   assert (!emit = !pc);
   (* -- escape fixpoint for deferred phi pairs: a pair whose
@@ -1401,9 +1375,6 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
         (Hashtbl.fold
            (fun d (n, isf) acc -> (d, n, isf) :: acc)
            lane_privs !privs);
-    c_bnames = Array.map (fun (b : Pir.Func.block) -> b.Pir.Func.bname) blocks;
-    c_blkix = blkix;
-    c_srcid = srcid;
     c_pent = Array.make (max 1 nblocks) 0;
     c_pn =
       Array.map

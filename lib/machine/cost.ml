@@ -314,17 +314,13 @@ let rthr_of_terminator m (t : Pir.Instr.terminator) =
    the bytecode VM, so both engines charge bit-identical cycles. *)
 
 type block_sched = {
-  cs_costs : float array;
-      (** per-instruction charged cost: latency scaled so the block sums
-          to the schedule total *)
-  cs_term : float;  (** charged terminator share *)
   cs_nphis : int;  (** length of the phi prefix *)
   cs_sums : float array;
-      (** the sum of [cs_costs] over the phi prefix, then the sum past
-          it plus [cs_term]: what both engines charge per block entry *)
+      (** the charged costs of the phi prefix, then of the rest of the
+          block and its terminator: what every executor charges per
+          block entry *)
   cs_ninstrs : int;  (** total instructions (phis included) *)
-  cs_nvec_phi : int;  (** vector-typed phis *)
-  cs_nvec_body : int;  (** vector-typed non-phi instructions *)
+  cs_nvec : int;  (** vector-typed instructions *)
 }
 
 (* longest-latency completion time of each SSA value defined in the
@@ -394,11 +390,10 @@ let recurrence m ~operand_ty (h : Pir.Func.block) (l : Pir.Func.block) =
       | _ -> acc)
     0.0 h.instrs
 
-(** Static schedule of every block of [f]: the charged per-instruction
-    costs (latencies scaled to the block's schedule total) plus the
-    block-granular sums and instruction counts the engines account
-    with.  Both execution engines must consume the same schedule, so
-    cycle totals agree bit-for-bit across engines. *)
+(** Static schedule of every block of [f]: the block-granular cycle
+    sums and instruction counts the engines account with.  Both
+    execution engines must consume the same schedule, so cycle totals
+    agree bit-for-bit across engines. *)
 let schedule_func m (f : Pir.Func.t) : (string, block_sched) Hashtbl.t =
   let operand_ty = Pir.Func.ty_of_operand f in
   (* base totals per block *)
@@ -455,8 +450,8 @@ let schedule_func m (f : Pir.Func.t) : (string, block_sched) Hashtbl.t =
           | _ -> ())
       | _ -> ())
     f.blocks;
-  (* distribute each block's total over its instructions pro-rata to
-     latency, preserving the historical per-instruction attribution *)
+  (* distribute each block's total over its instructions and terminator
+     pro-rata to latency; an entry charges the shares' sums *)
   let scheds = Hashtbl.create 16 in
   List.iter
     (fun (b : Pir.Func.block) ->
@@ -468,12 +463,12 @@ let schedule_func m (f : Pir.Func.t) : (string, block_sched) Hashtbl.t =
       let scale = if lat_total > 0.0 then total /. lat_total else 0.0 in
       (* Quantize every charged cost to the 2^-16 dyadic grid.  All
          engine cycle accounting (global counters and per-block
-         attribution alike) sums these atoms, and sums of multiples of
-         2^-16 stay exactly representable up to 2^36 cycles, so float
-         accumulation is exact and order-independent: a run's cycle
-         total equals the sum of its per-block attributions bit for
-         bit, whichever engine charged them and in whatever order the
-         profiler re-adds them. *)
+         attribution alike) adds sums and multiples of these atoms, and
+         sums of multiples of 2^-16 stay exactly representable up to
+         2^36 cycles, so float accumulation is exact and
+         order-independent: a run's cycle total equals the sum of its
+         per-block attributions bit for bit, whichever engine charged
+         them and in whatever order the profiler re-adds them. *)
       let quantize x = Float.round (x *. 65536.0) /. 65536.0 in
       let costs = Array.map (fun l -> quantize (l *. scale)) lats in
       let term = quantize (term_lat *. scale) in
@@ -493,21 +488,17 @@ let schedule_func m (f : Pir.Func.t) : (string, block_sched) Hashtbl.t =
           if j < nphis then phi_sum := !phi_sum +. c
           else body_sum := !body_sum +. c)
         costs;
-      let nvec_phi = ref 0 and nvec_body = ref 0 in
-      Array.iteri
-        (fun j (i : Pir.Instr.instr) ->
-          if Pir.Types.is_vector i.ty then
-            if j < nphis then incr nvec_phi else incr nvec_body)
-        all;
+      let nvec =
+        Array.fold_left
+          (fun k (i : Pir.Instr.instr) -> if Pir.Types.is_vector i.ty then k + 1 else k)
+          0 all
+      in
       Hashtbl.replace scheds b.bname
         {
-          cs_costs = costs;
-          cs_term = term;
           cs_nphis = nphis;
           cs_sums = [| !phi_sum; !body_sum |];
           cs_ninstrs = n;
-          cs_nvec_phi = !nvec_phi;
-          cs_nvec_body = !nvec_body;
+          cs_nvec = nvec;
         })
     f.blocks;
   scheds

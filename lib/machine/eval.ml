@@ -3,38 +3,10 @@
     Memory operations need machine state and live in [State.exec] (their
     lane loops in [Memory]); calls and phis belong to each engine.
     Everything value-to-value is here, shared by the interpreter, the
-    SPMD reference executor and the VM's fallback and closure forms. *)
+    SPMD reference executor and the VM's fallback and closure forms;
+    the scalar integer operations are [Pir.Fold]'s. *)
 
 open Pir.Instr
-
-let ibin_scalar (k : ibin) (w : int) a b : int64 =
-  let open Pir.Ints in
-  match k with
-  | Add -> add w a b
-  | Sub -> sub w a b
-  | Mul -> mul w a b
-  | UDiv -> udiv w a b
-  | SDiv -> sdiv w a b
-  | URem -> urem w a b
-  | SRem -> srem w a b
-  | And -> logand w a b
-  | Or -> logor w a b
-  | Xor -> logxor w a b
-  | Shl -> shl w a b
-  | LShr -> lshr w a b
-  | AShr -> ashr w a b
-  | SMin -> smin w a b
-  | SMax -> smax w a b
-  | UMin -> umin w a b
-  | UMax -> umax w a b
-  | UAddSat -> uadd_sat w a b
-  | SAddSat -> sadd_sat w a b
-  | USubSat -> usub_sat w a b
-  | SSubSat -> ssub_sat w a b
-  | AvgrU -> avgr_u w a b
-  | AbsDiffU -> abs_diff_u w a b
-  | MulHiS -> mulhi_s w a b
-  | MulHiU -> mulhi_u w a b
 
 (* One-shot dispatch on the opcode, returning the scalar operation as a
    closure: the vector paths below resolve the opcode (and width) once
@@ -90,16 +62,6 @@ let fbin_fn (k : fbin) (s : Pir.Types.scalar) : float -> float -> float =
   | FMin -> fun a b -> r (Float.min (r a) (r b))
   | FMax -> fun a b -> r (Float.max (r a) (r b))
 
-let iun_scalar (k : iun) (w : int) a : int64 =
-  let open Pir.Ints in
-  match k with
-  | INot -> lognot w a
-  | INeg -> neg w a
-  | IAbs -> abs w a
-  | Clz -> clz w a
-  | Ctz -> ctz w a
-  | Popcnt -> popcnt w a
-
 let fun_scalar (k : fun_) (s : Pir.Types.scalar) a : float =
   let r = Value.round_float s in
   let a = r a in
@@ -129,20 +91,6 @@ let fun_fn (k : fun_) (s : Pir.Types.scalar) : float -> float =
   | FSqrt -> fun a -> r (sqrt (r a))
   | FFloor -> fun a -> r (Float.floor (r a))
   | FCeil -> fun a -> r (Float.ceil (r a))
-
-let icmp_scalar (p : ipred) (w : int) a b : bool =
-  let open Pir.Ints in
-  match p with
-  | Eq -> norm w a = norm w b
-  | Ne -> norm w a <> norm w b
-  | Ult -> ucompare w a b < 0
-  | Ule -> ucompare w a b <= 0
-  | Ugt -> ucompare w a b > 0
-  | Uge -> ucompare w a b >= 0
-  | Slt -> scompare w a b < 0
-  | Sle -> scompare w a b <= 0
-  | Sgt -> scompare w a b > 0
-  | Sge -> scompare w a b >= 0
 
 let icmp_fn (p : ipred) (w : int) : int64 -> int64 -> bool =
   let open Pir.Ints in
@@ -291,7 +239,7 @@ let pure_op ~(ty : Pir.Types.t) ~(operand_ty : operand -> Pir.Types.t)
       let s = scalar_of a in
       let w = Pir.Types.scalar_bits s in
       match (get a, get b) with
-      | Value.I x, Value.I y -> Value.I (ibin_scalar k w x y)
+      | Value.I x, Value.I y -> Value.I (Pir.Fold.ibin k w x y)
       | Value.VI x, Value.VI y -> Value.VI (map2i (ibin_fn k w) x y)
       | va, vb -> Fmt.invalid_arg "Eval.map2v: %a, %a" Value.pp va Value.pp vb)
   | Fbin (k, a, b) -> (
@@ -303,7 +251,7 @@ let pure_op ~(ty : Pir.Types.t) ~(operand_ty : operand -> Pir.Types.t)
   | Iun (k, a) -> (
       let w = Pir.Types.scalar_bits (scalar_of a) in
       match get a with
-      | Value.I x -> Value.I (iun_scalar k w x)
+      | Value.I x -> Value.I (Pir.Fold.iun k w x)
       | Value.VI x -> Value.VI (map1i (iun_fn k w) x)
       | v -> Fmt.invalid_arg "Eval.iun: %a" Value.pp v)
   | Fun (k, a) -> (
@@ -315,7 +263,7 @@ let pure_op ~(ty : Pir.Types.t) ~(operand_ty : operand -> Pir.Types.t)
   | Icmp (p, a, b) -> (
       let w = Pir.Types.scalar_bits (scalar_of a) in
       match (get a, get b) with
-      | Value.I x, Value.I y -> Value.of_bool (icmp_scalar p w x y)
+      | Value.I x, Value.I y -> Value.of_bool (Pir.Fold.icmp p w x y)
       | Value.VI x, Value.VI y -> Value.VI (map2_mask (icmp_fn p w) x y)
       | va, vb -> Fmt.invalid_arg "Eval.icmp: %a, %a" Value.pp va Value.pp vb)
   | Fcmp (p, a, b) -> (

@@ -19,7 +19,13 @@
     same calling code runs before and after vectorization.  The machine
     state (memory, statistics, cycles, fuel, call tree) and the boxed
     semantics of each non-call instruction live in {!State}; this
-    module walks the control flow and keeps the per-block profile. *)
+    module walks the control flow.
+
+    Both executors enter a block only through [enter], which charges
+    the whole block once ([State.account], as the VM's [Acct] does),
+    counts the entry while profiling, and evaluates the phi prefix.  A
+    block's instructions and cycles per entry are static, so the entry
+    counts are the whole profile ({!Profile.v} derives the rows). *)
 
 open Pir.Instr
 
@@ -56,29 +62,17 @@ type stats = Stats.t = {
 type bexec = {
   blk : Pir.Func.block;  (** underlying block (name, terminator) *)
   all : Pir.Instr.instr array;  (** full instruction sequence *)
-  costs : float array;
-      (** charged cost per instruction, from [Cost.schedule_func] —
-          static given the model and the function's type table, so paid
-          once instead of per execution (the [Call] case scans strings) *)
-  term_cost : float;
   nphis : int;  (** length of the phi prefix of [all] *)
   sums : float array;
-      (** the sum of [costs] over the phi prefix, then the sum past it
-          plus [term_cost]: the static cost of one complete block
-          execution in two parts, so the serial engine (and the VM)
-          charge a block in O(1) *)
-  n_vec_phi : int;  (** vector-typed phis (static, for block stats) *)
-  n_vec_body : int;  (** vector-typed non-phi instructions *)
+      (** what one entry charges, from [Cost.schedule_func]: the phi
+          prefix's cycles, then the rest of the block's *)
+  nvec : int;  (** vector-typed instructions *)
   phis_by_pred : (string * operand option array) list;
       (** for each incoming label: the operand each phi in the prefix
           takes from that edge ([None] = phi lacks that edge) *)
   mutable targets : targets;
-  (* -- profiling accumulators (written only when [State.t.profile]) -- *)
-  mutable p_entries : int;  (** times this block was entered *)
-  mutable p_instrs : int;  (** instructions executed in this block *)
-  p_cyc : floatarray;
-      (** cycles attributed to this block; unboxed accumulator for the
-          same reason as [State.t.cyc] *)
+  mutable entries : int;
+      (** times this block was entered, counted while [State.t.profile] *)
 }
 
 and targets = Tnone | Tbr of bexec | Tcond of bexec * bexec
@@ -87,7 +81,7 @@ type fexec = {
   fn : Pir.Func.t;
   blocks : Pir.Func.block list;  (** spine at build time (staleness check) *)
   entry_be : bexec;
-  bes : bexec array;  (** every block, in function order (profiling walk) *)
+  bes : bexec array;  (** every block, in function order (entry counts) *)
 }
 
 type t = {
@@ -116,8 +110,6 @@ let build_fexec (f : Pir.Func.t) : fexec =
       (fun (b : Pir.Func.block) ->
         let all = Array.of_list b.instrs in
         let sched : Cost.block_sched = Hashtbl.find scheds b.bname in
-        let costs = sched.cs_costs in
-        let term_cost = sched.cs_term in
         let nphis = sched.cs_nphis in
         let preds =
           (* union of incoming labels across the phi prefix, in
@@ -147,17 +139,12 @@ let build_fexec (f : Pir.Func.t) : fexec =
         {
           blk = b;
           all;
-          costs;
-          term_cost;
           nphis;
           sums = sched.cs_sums;
-          n_vec_phi = sched.cs_nvec_phi;
-          n_vec_body = sched.cs_nvec_body;
+          nvec = sched.cs_nvec;
           phis_by_pred;
           targets = Tnone;
-          p_entries = 0;
-          p_instrs = 0;
-          p_cyc = Float.Array.make 1 0.0;
+          entries = 0;
         })
       f.blocks
   in
@@ -198,10 +185,6 @@ let callee_of t name : State.callee =
       Hashtbl.replace t.callees name c;
       c
 
-(* profiling: add [c] cycles to a block's accumulator *)
-let attr_cyc (be : bexec) c =
-  Float.Array.unsafe_set be.p_cyc 0 (Float.Array.unsafe_get be.p_cyc 0 +. c)
-
 (* -- environments --
 
    The [get]/[oty] resolvers live in the environment so the interpreter
@@ -234,12 +217,16 @@ let make_env (f : Pir.Func.t) args =
   in
   env
 
-(* Evaluate a block's phi prefix on entry from [prev_label].  Phis read
-   their inputs simultaneously: all operands are evaluated before any
-   result is assigned.  With [account] (the SPMD engine, which parks
-   mid-block), fuel/stat/cost accounting happens here per phi; the
-   serial engine accounts block-granularly in its run loop instead. *)
-let exec_phis t (f : Pir.Func.t) env (be : bexec) ~prev_label ~account =
+(* Enter block [be] from [prev_label], for both executors: charge the
+   whole block up front — fuel, instruction counts, then its cycles, in
+   the order the VM's [Acct] charges them, so the engines report
+   bit-identical stats — count the entry, and evaluate the phi prefix.
+   Phis read their inputs simultaneously: all operands are evaluated
+   before any result is assigned.  An SPMD thread that parks mid-block
+   resumes past this point, so it never charges a block twice. *)
+let enter t (f : Pir.Func.t) env (be : bexec) ~prev_label =
+  State.account t.st (Array.length be.all) be.nvec be.sums;
+  if t.st.profile then be.entries <- be.entries + 1;
   if be.nphis > 0 then begin
     let ops =
       match List.assoc_opt prev_label be.phis_by_pred with
@@ -250,10 +237,6 @@ let exec_phis t (f : Pir.Func.t) env (be : bexec) ~prev_label ~account =
     in
     let vals = Array.make be.nphis Value.Unit in
     for j = 0 to be.nphis - 1 do
-      if account then
-        State.account t.st 1
-          (if Pir.Types.is_vector be.all.(j).ty then 1 else 0)
-          be.costs j (j + 1);
       match ops.(j) with
       | Some o -> vals.(j) <- get_operand env o
       | None ->
@@ -262,11 +245,7 @@ let exec_phis t (f : Pir.Func.t) env (be : bexec) ~prev_label ~account =
     done;
     for j = 0 to be.nphis - 1 do
       env.vals.(be.all.(j).id) <- vals.(j)
-    done;
-    if account && t.st.profile then begin
-      be.p_instrs <- be.p_instrs + be.nphis;
-      attr_cyc be be.sums.(0)
-    end
+    done
   end
 
 (* -- SPMD threads --
@@ -275,13 +254,7 @@ let exec_phis t (f : Pir.Func.t) env (be : bexec) ~prev_label ~account =
    and control position, and the value operations [Gang] routes
    horizontal calls with. *)
 
-type thread = {
-  lane : int;
-  env : env;
-  mutable be : bexec;
-  mutable idx : int;
-  mutable prev : string;
-}
+type thread = { lane : int; env : env; mutable be : bexec; mutable idx : int }
 
 let gang_ops : Value.t Gang.ops =
   {
@@ -298,22 +271,13 @@ let gang_ops : Value.t Gang.ops =
   }
 
 (* -- instruction execution --
-   [exec_call] handles Call ops, a phi reached outside a block's entry
-   (an entry block's phis, under SPMD) reads its edge here, and
-   everything else has its boxed semantics in [State.exec].
-   Fuel/instr/cycle accounting is the caller's job: the serial engine
-   accounts block-granularly, the SPMD engine per instruction. *)
+   [exec_call] handles Call ops; every other instruction past the phi
+   prefix has its boxed semantics in [State.exec].  [enter] has already
+   charged it. *)
 
-let rec exec_instr t (f : Pir.Func.t) env ~prev_label ~exec_call
-    (i : instr) : Value.t =
+let rec exec_instr t env ~exec_call (i : instr) : Value.t =
   match i.op with
   | Call (name, args) -> exec_call i name (List.map env.get args)
-  | Phi incoming -> (
-      match List.assoc_opt prev_label incoming with
-      | Some o -> env.get o
-      | None ->
-          State.trap "phi in %s has no incoming for predecessor %s" f.fname
-            prev_label)
   | _ -> State.exec t.st ~get:env.get ~oty:env.oty i
 
 (* -- single-thread interpreter -- *)
@@ -342,23 +306,11 @@ and exec_func_body t (f : Pir.Func.t) (args : Value.t list) : Value.t =
       let frame = Memory.mark t.st.mem in
       let exec_call _instr name vargs = dispatch_call t name vargs in
       let rec run (be : bexec) prev_label =
-        (* Block-granular accounting: the whole block's fuel, instruction
-           counts and cycle charges land up front, in the same order the
-           VM performs them, so both engines report bit-identical stats
-           and cycle totals for the same execution. *)
+        enter t f env be ~prev_label;
         let all = be.all in
-        let n = Array.length all in
-        State.account t.st n (be.n_vec_phi + be.n_vec_body) be.sums 0 2;
-        if t.st.profile then begin
-          be.p_entries <- be.p_entries + 1;
-          be.p_instrs <- be.p_instrs + n;
-          attr_cyc be be.sums.(0);
-          attr_cyc be be.sums.(1)
-        end;
-        exec_phis t f env be ~prev_label ~account:false;
         for k = be.nphis to Array.length all - 1 do
           let i = Array.unsafe_get all k in
-          let v = exec_instr t f env ~prev_label ~exec_call i in
+          let v = exec_instr t env ~exec_call i in
           if i.ty <> Pir.Types.Void then env.vals.(i.id) <- v
         done;
         match be.blk.term with
@@ -397,12 +349,12 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
   let fe = fexec_of t f in
   let frame = Memory.mark t.st.mem in
   let init lane =
-    if t.st.profile then fe.entry_be.p_entries <- fe.entry_be.p_entries + 1;
-    { lane; env = make_env f args; be = fe.entry_be; idx = 0; prev = "$entry" }
+    let env = make_env f args in
+    enter t f env fe.entry_be ~prev_label:"$entry";
+    { lane; env; be = fe.entry_be; idx = fe.entry_be.nphis }
   in
-  (* Run one thread until it parks or returns.  On block entry the phi
-     prefix is evaluated atomically (phis read their inputs
-     simultaneously), so [idx] always points past the phis. *)
+  (* Run one thread until it parks or returns.  [enter] evaluates a
+     block's phi prefix, so [idx] always points past the phis. *)
   let step th =
     let parked = ref None in
     let exec_call instr name vargs =
@@ -414,27 +366,16 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
       else dispatch_call t name vargs
     in
     let enter_bexec (nb : bexec) =
-      th.prev <- th.be.blk.bname;
+      let prev_label = th.be.blk.bname in
       th.be <- nb;
-      if t.st.profile then nb.p_entries <- nb.p_entries + 1;
-      exec_phis t f th.env nb ~prev_label:th.prev ~account:true;
+      enter t f th.env nb ~prev_label;
       th.idx <- nb.nphis
     in
     let rec go () =
       let all = th.be.all in
       if th.idx < Array.length all then begin
         let i = Array.unsafe_get all th.idx in
-        (* per-instruction accounting: SPMD threads park mid-block, so
-           the block-granular fast path of the serial engine would
-           double-count on resume *)
-        State.account t.st 1
-          (if Pir.Types.is_vector i.ty then 1 else 0)
-          th.be.costs th.idx (th.idx + 1);
-        let v = exec_instr t f th.env ~prev_label:th.prev ~exec_call i in
-        if t.st.profile then begin
-          th.be.p_instrs <- th.be.p_instrs + 1;
-          attr_cyc th.be (Array.unsafe_get th.be.costs th.idx)
-        end;
+        let v = exec_instr t th.env ~exec_call i in
         match !parked with
         | Some stop -> stop (* [resume] moves past the call *)
         | None ->
@@ -442,9 +383,7 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
             th.idx <- th.idx + 1;
             go ()
       end
-      else begin
-        State.charge t.st th.be.term_cost;
-        if t.st.profile then attr_cyc th.be th.be.term_cost;
+      else
         match (th.be.blk.term, th.be.targets) with
         | Br _, Tbr nb ->
             enter_bexec nb;
@@ -455,7 +394,6 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
         | Ret _, _ -> Gang.Finished
         | Unreachable, _ -> State.trap "SPMD thread reached unreachable in %s" f.fname
         | _ -> assert false
-      end
     in
     go ()
   in
@@ -471,105 +409,27 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
 let run t name args =
   State.run t.st ~engine:"interp" exec_func t (Pir.Func.find_func t.modul name) args
 
-(* -- profiling report --
+(* -- profile --
 
-   The accumulators live on the [bexec] caches, so attribution costs one
-   predictable branch per block (serial engine) or per instruction (SPMD
-   engine) and nothing at all when [profile] is off.  Summing the report
-   over all blocks reproduces [stats]: instruction counts exactly,
-   cycles up to float addition reorder.  Note [fexec_of] rebuilds a
-   function's cache (dropping its counts) if the function is
-   structurally modified between runs — run the passes first, as usual. *)
-
-type block_profile = {
-  bp_func : string;
-  bp_block : string;
-  bp_entries : int;
-  bp_instrs : int;
-  bp_cycles : float;
-}
+   A profiled run counts block entries on the [bexec] caches: one
+   predictable branch per entry, nothing when [profile] is off.  Note
+   [fexec_of] rebuilds a function's cache (dropping its counts) if the
+   function is structurally modified between runs — run the passes
+   first, as usual. *)
 
 let reset_profile t =
-  Hashtbl.iter
-    (fun _ fe ->
-      Array.iter
-        (fun be ->
-          be.p_entries <- 0;
-          be.p_instrs <- 0;
-          Float.Array.set be.p_cyc 0 0.0)
-        fe.bes)
-    t.fexecs;
+  Hashtbl.iter (fun _ fe -> Array.iter (fun be -> be.entries <- 0) fe.bes) t.fexecs;
   State.reset_calls t.st
 
-(** Executed blocks, hottest (most cycles) first; ties and the zero-cost
-    tail are ordered by function then block name so the report is
-    deterministic. *)
-let profile_report t : block_profile list =
-  Hashtbl.fold
-    (fun _ fe acc ->
-      Array.fold_left
-        (fun acc be ->
-          if be.p_entries = 0 then acc
-          else
-            {
-              bp_func = fe.fn.Pir.Func.fname;
-              bp_block = be.blk.Pir.Func.bname;
-              bp_entries = be.p_entries;
-              bp_instrs = be.p_instrs;
-              bp_cycles = Float.Array.get be.p_cyc 0;
-            }
-            :: acc)
-        acc fe.bes)
-    t.fexecs []
-  |> List.sort (fun a b ->
-         match compare b.bp_cycles a.bp_cycles with
-         | 0 -> (
-             match String.compare a.bp_func b.bp_func with
-             | 0 -> String.compare a.bp_block b.bp_block
-             | c -> c)
-         | c -> c)
-
-(* -- typed profile capture --
-
-   [capture] packages the bexec accumulators, the opcode mix and the
-   call tree into a [Profile.t].  The VM's [Vm.capture] reuses
-   [profile_report]/[profile_mix] and merges its own per-code counters
-   on top (SPMD gangs — and functions they call — execute on this
-   interpreter even under the VM, so their attribution lands here). *)
-
-(* class -> dynamic count.  Statically each block has a fixed class
-   multiset; every entry executes the whole block (SPMD threads park at
-   block boundaries, never mid-block), so weighting by [p_entries] is
-   exact and reproduces [p_instrs]. *)
-let profile_mix t : (string, int) Hashtbl.t =
-  let mix = Hashtbl.create 16 in
+(** The entry counts of every block run on [t], as {!Profile.v} reads
+    them.  The VM's [Vm.capture] adds its gangs' counts this way. *)
+let entries t : Profile.entries =
+ fun row ->
   Hashtbl.iter
     (fun _ fe ->
       Array.iter
-        (fun be ->
-          if be.p_entries > 0 then
-            Array.iter
-              (fun (i : Pir.Instr.instr) ->
-                let cls = Profile.classify i in
-                let n = Option.value ~default:0 (Hashtbl.find_opt mix cls) in
-                Hashtbl.replace mix cls (n + be.p_entries))
-              be.all)
+        (fun be -> row fe.fn.Pir.Func.fname be.blk be.entries (Array.length be.all) be.sums)
         fe.bes)
-    t.fexecs;
-  mix
+    t.fexecs
 
-let capture t : Profile.t =
-  let blocks =
-    List.map
-      (fun r ->
-        {
-          Profile.pb_func = r.bp_func;
-          pb_block = r.bp_block;
-          pb_entries = r.bp_entries;
-          pb_instrs = r.bp_instrs;
-          pb_cycles = r.bp_cycles;
-        })
-      (profile_report t)
-  in
-  let opcode_mix = Hashtbl.fold (fun c n acc -> (c, n) :: acc) (profile_mix t) [] in
-  State.capture t.st ~engine:"interp" ~blocks ~opcode_mix
+let capture t : Profile.t = State.capture t.st ~engine:"interp" (entries t)

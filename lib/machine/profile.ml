@@ -1,16 +1,19 @@
 (* Typed execution profiles — the common currency both engines produce.
 
    [Engine.profile] captures one of these from either the tree-walking
-   interpreter or the register VM.  The attribution discipline is shared
-   (both engines charge the identical static [Cost] block schedule in
-   the same order), so a profile captured from the VM must agree with
-   one captured from the interpreter bit for bit: same per-block rows,
-   same opcode mix, same collapsed call stacks.  The fuzz oracle and
-   [test/suite_vm.ml] pin exactly that.
+   interpreter or the register VM.  The attribution discipline is shared:
+   every executor (serial code, SPMD gang threads and the VM) charges the
+   static [Cost] schedule of a whole block once per block entry, in the
+   same order, and counts the entry.  A profile captured from the VM
+   must agree with one captured from the interpreter bit for bit: same
+   per-block rows, same opcode mix, same collapsed call stacks.  The
+   fuzz oracle and [test/suite_vm.ml] pin exactly that.
 
    A profile has four views of the same run:
    - per-block rows (entries / instructions / attributed cycles),
-     hottest first — the `psimc profile` hot-block table;
+     hottest first — the `psimc profile` hot-block table — derived by
+     [v] from the entry counts alone: a block's instructions and cycles
+     per entry are static;
    - a dynamic opcode-class mix, derived from the static per-block
      instruction classes weighted by dynamic entry counts (every thread
      of a gang executes every instruction of a block it enters, parked
@@ -140,22 +143,48 @@ let publish (t : t) =
       Pobs.Metrics.add ~labels:[ ("engine", t.p_engine); ("class", cls) ] m_opcode_mix n)
     t.p_opcode_mix
 
-(** Build a profile (sorts blocks hottest-first and the mix by
-    descending count) and feed the metrics registry. *)
-let v ~engine ~blocks ~opcode_mix ~folded ~total_cycles ~total_instrs : t =
+(** An engine's per-block entry counts: [entries row] calls
+    [row func block count n sums] for blocks of the run, where [block]
+    of function [func] was entered [count] times and executes [n]
+    instructions and charges [sums.(0) +. sums.(1)] cycles per entry
+    (the schedule's [Cost.cs_sums]).  Blocks never entered may be
+    reported with a zero count; a block reported twice (a serial helper
+    the VM runs and a gang calls on the interpreter) sums into one row. *)
+type entries = (string -> Pir.Func.block -> int -> int -> float array -> unit) -> unit
+
+(** Build a profile from an engine's entry counts (blocks hottest
+    first, the mix by descending count) and feed the metrics registry.
+    Charges are quantized to a dyadic grid ([Cost.schedule_func]), so
+    [count * sum] is exact: a row's cycles equal the engine's own
+    per-entry accumulation bit for bit, in any order. *)
+let v ~engine (entries : entries) ~folded ~total_cycles ~total_instrs : t =
+  let rows = Hashtbl.create 64 and mix = Hashtbl.create 16 in
+  entries (fun func (b : Pir.Func.block) e n sums ->
+      if e > 0 then begin
+        let key = (func, b.bname) and ef = float_of_int e in
+        let e0, i0, c0 = Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt rows key) in
+        Hashtbl.replace rows key
+          (e0 + e, i0 + (e * n), c0 +. ((ef *. sums.(0)) +. (ef *. sums.(1))));
+        List.iter
+          (fun i ->
+            let cls = classify i in
+            Hashtbl.replace mix cls (e + Option.value ~default:0 (Hashtbl.find_opt mix cls)))
+          b.instrs
+      end);
   let blocks =
-    List.sort
-      (fun a b ->
-        match compare b.pb_cycles a.pb_cycles with
-        | 0 -> compare (a.pb_func, a.pb_block) (b.pb_func, b.pb_block)
-        | c -> c)
-      blocks
+    Hashtbl.fold
+      (fun (pb_func, pb_block) (pb_entries, pb_instrs, pb_cycles) acc ->
+        { pb_func; pb_block; pb_entries; pb_instrs; pb_cycles } :: acc)
+      rows []
+    |> List.sort (fun a b ->
+           match compare b.pb_cycles a.pb_cycles with
+           | 0 -> compare (a.pb_func, a.pb_block) (b.pb_func, b.pb_block)
+           | c -> c)
   in
   let opcode_mix =
-    List.sort
-      (fun (ca, na) (cb, nb) ->
-        match compare nb na with 0 -> String.compare ca cb | c -> c)
-      opcode_mix
+    Hashtbl.fold (fun c n acc -> (c, n) :: acc) mix []
+    |> List.sort (fun (ca, na) (cb, nb) ->
+           match compare nb na with 0 -> String.compare ca cb | c -> c)
   in
   let t =
     { p_engine = engine; p_blocks = blocks; p_opcode_mix = opcode_mix;

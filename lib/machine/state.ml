@@ -20,7 +20,7 @@ type t = {
   mem : Memory.t;
   stats : Stats.t;
   cyc : floatarray;
-      (** running cycle count: unboxed accumulator behind [charge],
+      (** running cycle count: unboxed accumulator behind [account],
           flushed to [stats.cycles] when a run returns ([stats.cycles]
           is a float field of a mixed record, so adding to it directly
           would box a fresh float per charge) *)
@@ -50,25 +50,23 @@ let create ?mem ?(fuel = 2_000_000_000) ?(profile = false) () =
     prof_mark = Float.Array.make 1 0.0;
   }
 
-let[@inline] charge t c =
-  Float.Array.unsafe_set t.cyc 0 (Float.Array.unsafe_get t.cyc 0 +. c)
-
-(** Charge [n] executed instructions, [vec] of them vector-typed, and
-    the cycles [c.(lo)], ..., [c.(hi - 1)], one addition each, in that
-    order (a block's phi and body sums are two additions).  The serial
-    interpreter calls it once per block entry, the VM once per [Acct],
-    and the SPMD executor once per instruction and per phi.  Fuel runs
-    out before anything else is charged.  The cycles come in a flat
-    [float array] so that no caller boxes a float to pass them. *)
-let account t n vec (c : float array) lo hi =
+(** Charge one block entry: [n] executed instructions, [vec] of them
+    vector-typed, and the block's cycles [sums.(0)] (its phi prefix)
+    then [sums.(1)] (the rest), one addition each, in that order.
+    Every executor calls it once per block entry, for the whole block:
+    the interpreter's serial loop and SPMD threads in [Interp.enter],
+    the VM in [Acct].  Fuel runs out before anything else is charged.
+    The cycles come in a flat [float array] so that no caller boxes a
+    float to pass them. *)
+let account t n vec (sums : float array) =
   t.fuel <- t.fuel - n;
   if t.fuel <= 0 then trap "out of fuel (infinite loop?)";
   let s = t.stats in
   s.instrs <- s.instrs + n;
   s.vector_instrs <- s.vector_instrs + vec;
-  for k = lo to hi - 1 do
-    charge t (Array.unsafe_get c k)
-  done
+  let cyc = t.cyc in
+  Float.Array.unsafe_set cyc 0 (Float.Array.unsafe_get cyc 0 +. Array.unsafe_get sums 0);
+  Float.Array.unsafe_set cyc 0 (Float.Array.unsafe_get cyc 0 +. Array.unsafe_get sums 1)
 
 (** Make [stats.cycles] reflect the unboxed accumulator (see [cyc]). *)
 let flush_cycles t = t.stats.cycles <- Float.Array.get t.cyc 0
@@ -123,11 +121,11 @@ let reset_calls t =
   Float.Array.set t.prof_mark 0 (Float.Array.get t.cyc 0)
 
 (** The typed profile of everything run on [t], given the engine's
-    per-block rows and opcode mix. *)
-let capture t ~engine ~blocks ~opcode_mix : Profile.t =
+    per-block entry counts. *)
+let capture t ~engine entries : Profile.t =
   flush_cycles t;
   prof_flush t;
-  Profile.v ~engine ~blocks ~opcode_mix
+  Profile.v ~engine entries
     ~folded:(Profile.folded_of_root t.prof_root)
     ~total_cycles:t.stats.cycles ~total_instrs:t.stats.instrs
 

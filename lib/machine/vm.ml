@@ -20,16 +20,12 @@
     dedicated bank slots written once when a frame is first built.
 
     Profiling: with attribution on ([State.t.profile]) the Acct
-    dispatch arm bumps one per-block entry counter ([Bc.c_pent]) —
+    dispatch arm bumps one per-block entry counter ([Bc.c_pent]), as
+    the interpreter counts entries of the blocks its gangs run;
     instructions and cycles per entry are block constants, so [capture]
-    derives the full rows from the entry count alone.  Charges are
-    quantized to a dyadic grid ([Cost]), making [entries * charge] exact
-    and bit-identical to the interpreter's per-entry accumulation.  SPMD
-    gangs (and anything they call) execute on [gangs], so their
-    attribution lands in its block accumulators; [capture] merges both
-    sides.  When profiling is off the only residue is one predictable
-    untaken branch inside Acct — the per-instruction hot path is
-    untouched. *)
+    hands both sides' counts to {!Profile.v}, which derives the rows.
+    When profiling is off the only residue is one predictable untaken
+    branch inside Acct — the per-instruction hot path is untouched. *)
 
 open Pir.Instr
 
@@ -104,7 +100,7 @@ let[@inline] mask_of (fr : Bc.frame) rm =
 let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
   match Array.unsafe_get c.c_insts pc with
   | Bc.Acct a ->
-      State.account t.st a.a_n a.a_vec a.a_cyc 0 2;
+      State.account t.st a.a_n a.a_vec a.a_cyc;
       (* the whole of attribution: instrs and cycles per entry are
          block constants, so [capture] derives them from the entry
          count — the profiled path costs one predictable branch and
@@ -1069,76 +1065,22 @@ and call_body t (f : Pir.Func.t) args : Value.t =
 let run t name args =
   State.run t.st ~engine:"vm" call t (Pir.Func.find_func t.modul name) args
 
-(* -- profiling ---------------------------------------------------------
+(* -- profiling -- *)
 
-   One flag ([State.t.profile]) drives both the VM's Acct counters and
-   the interpreter-side attribution of SPMD gangs.  [capture] merges
-   the two by (func, block) key: a block executed under both engines
-   (e.g. a serial helper called both from compiled code and from inside
-   a gang) sums its rows, exactly as a single-engine run would have. *)
-
-(** Typed profile of everything executed since creation.  Note
-    [code_of] recompiles a function (dropping its counters) if it is
-    structurally modified between runs — run the passes first, as
+(** Typed profile of everything executed since creation: the entry
+    counts of the compiled blocks ([Bc.c_pent]) and of the gangs run on
+    [gangs], which one flag ([State.t.profile]) turns on together.
+    Note [code_of] recompiles a function (dropping its counters) if it
+    is structurally modified between runs — run the passes first, as
     usual. *)
 let capture t : Profile.t =
-  (* (func, block) -> (entries, instrs, cycles), gang side first *)
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Interp.block_profile) ->
-      Hashtbl.replace tbl (r.bp_func, r.bp_block)
-        (r.bp_entries, r.bp_instrs, r.bp_cycles))
-    (Interp.profile_report t.gangs);
-  let mix = Interp.profile_mix t.gangs in
-  Hashtbl.iter
-    (fun _ (c : Bc.code) ->
-      let fname = c.Bc.c_fn.Pir.Func.fname in
-      Array.iteri
-        (fun ix bname ->
-          let e = c.Bc.c_pent.(ix) in
-          if e > 0 then begin
-            let key = (fname, bname) in
-            let e0, i0, cy0 =
-              Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt tbl key)
-            in
-            (* derived attribution: charges are dyadic (quantized cost
-               schedule), so [entries * charge] is exact and equals the
-               interpreter's per-entry accumulation bit for bit *)
-            let ef = float_of_int e in
-            let cy =
-              let sums = c.Bc.c_psums.(ix) in
-              (ef *. sums.(0)) +. (ef *. sums.(1))
-            in
-            Hashtbl.replace tbl key
-              (e0 + e, i0 + (e * c.Bc.c_pn.(ix)), cy0 +. cy)
-          end)
-        c.Bc.c_bnames;
-      (* opcode mix: static per-block classes weighted by entries (the
-         compiled spine retains the source blocks) *)
-      List.iteri
-        (fun ix (b : Pir.Func.block) ->
-          let e = c.Bc.c_pent.(ix) in
-          if e > 0 then
-            List.iter
-              (fun (i : Pir.Instr.instr) ->
-                let cls = Profile.classify i in
-                let n = Option.value ~default:0 (Hashtbl.find_opt mix cls) in
-                Hashtbl.replace mix cls (n + e))
-              b.Pir.Func.instrs)
-        c.Bc.c_blocks)
-    t.codes;
-  let blocks =
-    Hashtbl.fold
-      (fun (fname, bname) (e, i, cy) acc ->
-        {
-          Profile.pb_func = fname;
-          pb_block = bname;
-          pb_entries = e;
-          pb_instrs = i;
-          pb_cycles = cy;
-        }
-        :: acc)
-      tbl []
-  in
-  let opcode_mix = Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) mix [] in
-  State.capture t.st ~engine:"vm" ~blocks ~opcode_mix
+  State.capture t.st ~engine:"vm" (fun row ->
+      Interp.entries t.gangs row;
+      Hashtbl.iter
+        (fun _ (c : Bc.code) ->
+          List.iteri
+            (fun ix b ->
+              row c.Bc.c_fn.Pir.Func.fname b c.Bc.c_pent.(ix) c.Bc.c_pn.(ix)
+                c.Bc.c_psums.(ix))
+            c.Bc.c_blocks)
+        t.codes)

@@ -35,8 +35,6 @@ let mode = Atomic.make Off
 
 let set_mode m = Atomic.set mode m
 
-let get_mode () = Atomic.get mode
-
 let active () = Atomic.get mode <> Off
 
 let lock = Mutex.create ()
@@ -96,12 +94,6 @@ let pp ppf r =
   Fmt.pf ppf "remark: %s: [%s] %s: %s" r.func r.pass
     (String.capitalize_ascii (kind_name r.kind))
     r.msg
-
-let pp_counts ppf cs =
-  List.iter
-    (fun (pass, kind, n) ->
-      Fmt.pf ppf "%-12s %-9s %6d@." pass (kind_name kind) n)
-    cs
 
 (** Run [f] with remarks collected in [m], restoring the previous mode
     and returning the collected remarks alongside [f]'s result.  Used

@@ -76,8 +76,6 @@ let ring = { buf = [||]; head = 0; count = 0; dropped = 0 }
 
 let default_capacity = 65536
 
-let is_enabled () = Atomic.get enabled
-
 let enable ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.enable: capacity must be >= 1";
   Mutex.protect lock (fun () ->

@@ -687,5 +687,3 @@ let emit_remarks findings =
       Pobs.Remarks.emit Pobs.Remarks.Analysis ~pass:"psan" ~func:fd.func
         "%s %s: %s" (severity_name fd.severity) fd.check fd.msg)
     findings
-
-let has_errors findings = List.exists (fun f -> f.severity = Error) findings

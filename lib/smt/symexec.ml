@@ -247,7 +247,7 @@ let commutes : Instr.ibin -> bool = function
 let mk_ibin ctx (k : Instr.ibin) (s : Types.scalar) a b =
   let w = Types.scalar_bits s in
   match (a.node, b.node) with
-  | NInt x, NInt y -> int_const ctx s (Pmachine.Eval.ibin_scalar k w x y)
+  | NInt x, NInt y -> int_const ctx s (Fold.ibin k w x y)
   | _ -> (
       (* cheap identities keep the DAG (and structural equality) tight *)
       let zero = NInt 0L and one = NInt 1L in
@@ -268,13 +268,13 @@ let mk_ibin ctx (k : Instr.ibin) (s : Types.scalar) a b =
 
 let mk_iun ctx (k : Instr.iun) (s : Types.scalar) a =
   match a.node with
-  | NInt x -> int_const ctx s (Pmachine.Eval.iun_scalar k (Types.scalar_bits s) x)
+  | NInt x -> int_const ctx s (Fold.iun k (Types.scalar_bits s) x)
   | _ -> intern ctx s (NIun (k, a.eid)) a.support
 
 let mk_icmp ctx (p : Instr.ipred) (opk : Types.scalar) a b =
   match (a.node, b.node) with
   | NInt x, NInt y ->
-      bool_const ctx (Pmachine.Eval.icmp_scalar p (Types.scalar_bits opk) x y)
+      bool_const ctx (Fold.icmp p (Types.scalar_bits opk) x y)
   | _ ->
       let p, a, b =
         match p with
@@ -370,11 +370,11 @@ and eval_node ctx assign memo e =
       | None ->
           Fmt.invalid_arg "Symexec.eval: unassigned variable %s"
             (var_of ctx vid).vname)
-  | NIbin (k, a, b) -> CI (Pmachine.Eval.ibin_scalar k w (int_ a) (int_ b))
-  | NIun (k, a) -> CI (Pmachine.Eval.iun_scalar k w (int_ a))
+  | NIbin (k, a, b) -> CI (Fold.ibin k w (int_ a) (int_ b))
+  | NIun (k, a) -> CI (Fold.iun k w (int_ a))
   | NIcmp (p, opk, a, b) ->
       CI
-        (if Pmachine.Eval.icmp_scalar p (Types.scalar_bits opk) (int_ a) (int_ b)
+        (if Fold.icmp p (Types.scalar_bits opk) (int_ a) (int_ b)
          then 1L
          else 0L)
   | NFbin (k, a, b) -> CF (Pmachine.Eval.fbin_scalar k e.kind (float_ a) (float_ b))
@@ -1036,36 +1036,3 @@ and exec_func xc (f : Func.t) (args : sval list) : sval =
   match f.Func.spmd with
   | Some _ -> exec_spmd xc f args
   | None -> exec_serial xc f args
-
-(* -- pretty-printing for counterexample traces -- *)
-
-let rec pp_expr ctx ppf (e : sexpr) =
-  match e.node with
-  | NInt v -> Fmt.pf ppf "%Ld" v
-  | NFloat v -> Fmt.pf ppf "%g" v
-  | NVar vid -> Fmt.string ppf (var_of ctx vid).vname
-  | NIbin (k, a, b) ->
-      Fmt.pf ppf "(%a %a %a)" Printer.pp_ibin k (pp_expr ctx) (expr_of ctx a)
-        (pp_expr ctx) (expr_of ctx b)
-  | NIun (k, a) -> Fmt.pf ppf "(%a %a)" Printer.pp_iun k (pp_expr ctx) (expr_of ctx a)
-  | NIcmp (p, _, a, b) ->
-      Fmt.pf ppf "(icmp.%a %a %a)" Printer.pp_ipred p (pp_expr ctx) (expr_of ctx a)
-        (pp_expr ctx) (expr_of ctx b)
-  | NFbin (k, a, b) ->
-      Fmt.pf ppf "(%a %a %a)" Printer.pp_fbin k (pp_expr ctx) (expr_of ctx a)
-        (pp_expr ctx) (expr_of ctx b)
-  | NFun (k, a) -> Fmt.pf ppf "(%a %a)" Printer.pp_fun k (pp_expr ctx) (expr_of ctx a)
-  | NFcmp (p, a, b) ->
-      Fmt.pf ppf "(fcmp.%a %a %a)" Printer.pp_fpred p (pp_expr ctx) (expr_of ctx a)
-        (pp_expr ctx) (expr_of ctx b)
-  | NCast (k, _, a) ->
-      Fmt.pf ppf "(%a %a)" Printer.pp_cast k (pp_expr ctx) (expr_of ctx a)
-  | NIte (c, a, b) ->
-      Fmt.pf ppf "(ite %a %a %a)" (pp_expr ctx) (expr_of ctx c) (pp_expr ctx)
-        (expr_of ctx a) (pp_expr ctx) (expr_of ctx b)
-  | NMath (name, args) ->
-      Fmt.pf ppf "(%s%a)" name
-        Fmt.(list ~sep:nop (fun ppf a -> Fmt.pf ppf " %a" (pp_expr ctx) (expr_of ctx a)))
-        args
-
-let expr_to_string ctx e = Fmt.str "%a" (pp_expr ctx) e

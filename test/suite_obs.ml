@@ -207,16 +207,16 @@ let test_profiler_matches_stats () =
     List.map (fun a -> Pmachine.Value.I (Int64.of_int a)) addrs @ k.scalars
   in
   ignore (Pmachine.Interp.run t k.kname args);
-  let report = Pmachine.Interp.profile_report t in
+  let report = (Pmachine.Interp.capture t).p_blocks in
   Alcotest.(check bool) "report non-empty" true (report <> []);
   let instrs =
     List.fold_left
-      (fun acc (r : Pmachine.Interp.block_profile) -> acc + r.bp_instrs)
+      (fun acc (r : Pmachine.Profile.block) -> acc + r.pb_instrs)
       0 report
   in
   let cycles =
     List.fold_left
-      (fun acc (r : Pmachine.Interp.block_profile) -> acc +. r.bp_cycles)
+      (fun acc (r : Pmachine.Profile.block) -> acc +. r.pb_cycles)
       0.0 report
   in
   let stats = Pmachine.Interp.stats t in
@@ -236,8 +236,8 @@ let test_profiler_matches_stats () =
   Pmachine.Interp.reset_profile t;
   Alcotest.(check (list string)) "reset clears the report" []
     (List.map
-       (fun (r : Pmachine.Interp.block_profile) -> r.bp_block)
-       (Pmachine.Interp.profile_report t))
+       (fun (r : Pmachine.Profile.block) -> r.pb_block)
+       (Pmachine.Interp.capture t).p_blocks)
 
 (* -- tracing does not perturb the benchmark tables -- *)
 

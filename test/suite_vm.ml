@@ -220,6 +220,105 @@ let test_profile_off_differential () =
   check_off_on (List.hd Pispc.Suite.all);
   check_off_on (List.hd Psimdlib.Registry.all)
 
+(* -- gang accounting --
+
+   Every executor charges a whole block when a thread enters it; a
+   thread that stops mid-block at a horizontal operation resumes past
+   the entry and is not charged again, so the totals equal those of
+   charging each instruction as it runs.  In examples/sync_ok.psim
+   every thread stops mid-block at [psim_gang_sync]; at n = 37 the
+   kernel runs four full gangs of 8 and a tail gang of 5 (`psimc
+   profile` prints the cycles rounded: 576.5, 448.0 and 70.0). *)
+
+let test_gang_accounting () =
+  let m, _ =
+    Pharness.Pipeline.compile
+      ~cfg:{ Pharness.Pipeline.default with vectorize = false }
+      ~name:"sync_ok.psim"
+      (Suite_dataflow.read_example "sync_ok.psim")
+  in
+  let run kind =
+    let t = Pmachine.Engine.create ~kind ~profile:true m in
+    let mem = Pmachine.Engine.mem t in
+    let buf () =
+      Pmachine.Value.I
+        (Int64.of_int
+           (Pmachine.Memory.alloc_array mem Types.I32
+              (Array.init 40 (fun i -> Pmachine.Value.I (Int64.of_int i)))))
+    in
+    let a = buf () in
+    let b = buf () in
+    ignore (Pmachine.Engine.run t "shift_sum_synced" [ a; b; Pmachine.Value.I 37L ]);
+    (Pmachine.Engine.profile t, Pmachine.Engine.stats t)
+  in
+  let row (p : Pmachine.Profile.t) func block =
+    match
+      List.find_opt
+        (fun (r : Pmachine.Profile.block) -> r.pb_func = func && r.pb_block = block)
+        p.p_blocks
+    with
+    | Some r -> (r.pb_entries, r.pb_instrs, r.pb_cycles)
+    | None -> Alcotest.failf "no row %s/%s" func block
+  in
+  let rowt = Alcotest.(triple int int (float 0.0)) in
+  let pi, si = run Pmachine.Engine.Interp in
+  let pv, sv = run Pmachine.Engine.Vm in
+  List.iter
+    (fun (tag, p, (s : Pmachine.Interp.stats)) ->
+      Alcotest.(check int) (tag ^ ": instrs") 503 s.instrs;
+      Alcotest.(check bool)
+        (Fmt.str "%s: cycles %.17g" tag s.cycles)
+        true (feq 576.49774169921875 s.cycles);
+      Alcotest.(check int) (tag ^ ": block entries") 50 (Pmachine.Profile.sum_entries p);
+      Alcotest.check rowt (tag ^ ": full gangs") (32, 416, 447.998046875)
+        (row p "shift_sum_synced__psim1" "entry");
+      Alcotest.check rowt (tag ^ ": tail gang") (5, 65, 69.99969482421875)
+        (row p "shift_sum_synced__psim1_tail" "entry"))
+    [ ("interp", pi, si); ("vm", pv, sv) ];
+  Alcotest.(check (list (pair string (float 0.0))))
+    "folded stacks"
+    [
+      ("shift_sum_synced", 58.5);
+      ("shift_sum_synced;shift_sum_synced__psim1", 447.998046875);
+      ("shift_sum_synced;shift_sum_synced__psim1_tail", 69.99969482421875);
+    ]
+    pi.p_folded;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "folded stacks across engines" pi.p_folded pv.p_folded;
+  Alcotest.(check bool) "profiles equal across engines" true
+    (Pmachine.Profile.equal pi pv)
+
+(* A gang whose threads never leave their loop runs out of fuel, under
+   either engine, with the serial interpreter's and the VM's message. *)
+let test_gang_out_of_fuel () =
+  let m =
+    Pfrontend.Lower.compile ~name:"spin"
+      "void spin(int32* a, int64 n) {\n\
+      \  psim gang_size(4) num_spmd_threads(n) {\n\
+      \    int64 i = psim_thread_num();\n\
+      \    while (a[i] == 0) {\n\
+      \      a[i] = 0;\n\
+      \    }\n\
+      \  }\n\
+       }\n"
+  in
+  List.iter
+    (fun kind ->
+      let t = Pmachine.Engine.create ~kind ~fuel:10_000 m in
+      let a =
+        Pmachine.Memory.alloc_array (Pmachine.Engine.mem t) Types.I32
+          (Array.make 8 (Pmachine.Value.I 0L))
+      in
+      match
+        Pmachine.Engine.run t "spin" [ Pmachine.Value.I (Int64.of_int a); Pmachine.Value.I 6L ]
+      with
+      | _ -> Alcotest.fail "an endless gang returned"
+      | exception Pmachine.State.Trap msg ->
+          Alcotest.(check string)
+            (Pmachine.Engine.kind_to_string kind ^ ": trap")
+            "out of fuel (infinite loop?)" msg)
+    Pmachine.Engine.all_kinds
+
 (* -- recursion and the frame pool -- *)
 
 (* fact(n) = n <= 1 ? 1 : n * fact(n - 1): self-call, one frame per
@@ -629,6 +728,10 @@ let suites =
         Alcotest.test_case "frame pool reuse" `Quick test_vm_frame_pool;
         Alcotest.test_case "pooled constants stay intact" `Quick
           test_vm_pool_constants;
+        Alcotest.test_case "gang accounting per block entry (both engines)" `Quick
+          test_gang_accounting;
+        Alcotest.test_case "endless gang runs out of fuel (both engines)" `Quick
+          test_gang_out_of_fuel;
       ]
       @ List.map
           (fun acc ->
