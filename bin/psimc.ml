@@ -8,7 +8,8 @@
      psimc shapes FILE.psim         print shape analysis results
      psimc run FILE.psim -e F ARGS  execute function F on the simulator
                                     (--engine interp|vm selects the
-                                    executor; "exec" is an alias)
+                                    executor, --fuel N bounds the
+                                    instructions; "exec" is an alias)
      psimc profile FILE.psim -e F   execute and print a hot-block profile
                                     and opcode mix (both engines;
                                     --flamegraph FILE exports collapsed
@@ -358,7 +359,7 @@ let sim_error fmt =
 
 (* shared by run/exec and profile: execute, print result *)
 let execute_on_simulator ?(profile = false) obs opts file entry scalar args
-    ~engine k =
+    ~engine ~fuel k =
   with_obs obs (fun () ->
       let m, _ = compile_source ~vectorize:(not scalar) obs opts file in
       let params =
@@ -383,7 +384,7 @@ let execute_on_simulator ?(profile = false) obs opts file entry scalar args
             sim_error "argument %d of %s has type %a, got %a" (i + 1) entry
               Pir.Types.pp ty (Arg.conv_printer sim_arg_conv) a)
         (List.combine params args);
-      let t = Pmachine.Engine.create ~kind:engine ~profile m in
+      let t = Pmachine.Engine.create ~kind:engine ~fuel ~profile m in
       let mem = Pmachine.Engine.mem t in
       let buffers = ref [] in
       let value = function
@@ -453,6 +454,15 @@ let engine_arg =
            $(b,interp) (tree-walking reference interpreter).  Both produce \
            bit-identical results and cycle counts.")
 
+let fuel_arg =
+  Arg.(
+    value
+    & opt int Pmachine.State.default_fuel
+    & info [ "fuel" ] ~docv:"N"
+        ~doc:
+          "Instruction budget of the run: past it the run stops with \
+           $(b,trap: out of fuel (infinite loop?)) and exit status 1.")
+
 let sim_args =
   Arg.(
     value & pos_right 0 sim_arg_conv []
@@ -466,12 +476,12 @@ let sim_args =
            not fit its parameter is reported as an error with exit status 1.")
 
 let run_term =
-  let run obs opts file entry scalar engine args =
-    execute_on_simulator obs opts file entry scalar args ~engine (fun _ -> ())
+  let run obs opts file entry scalar engine fuel args =
+    execute_on_simulator obs opts file entry scalar args ~engine ~fuel (fun _ -> ())
   in
   Term.(
     const run $ obs_term $ opts_term $ file_arg $ entry_arg $ scalar_arg
-    $ engine_arg $ sim_args)
+    $ engine_arg $ fuel_arg $ sim_args)
 
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a function on the simulated machine")
@@ -502,8 +512,8 @@ let profile_cmd =
              flamegraph.pl and speedscope.  Cycles are simulated, so the \
              output is deterministic.")
   in
-  let run obs opts file entry scalar engine top flamegraph args =
-    execute_on_simulator ~profile:true obs opts file entry scalar args ~engine
+  let run obs opts file entry scalar engine fuel top flamegraph args =
+    execute_on_simulator ~profile:true obs opts file entry scalar args ~engine ~fuel
       (fun t ->
         let p = Pmachine.Engine.profile t in
         Fmt.pr "@.== Hot blocks (per-block cycle attribution, engine %s) ==@."
@@ -527,7 +537,7 @@ let profile_cmd =
           bit; $(b,--flamegraph) additionally exports collapsed call stacks.")
     Term.(
       const run $ obs_term $ opts_term $ file_arg $ entry_arg $ scalar_arg
-      $ engine_arg $ top $ flamegraph $ sim_args)
+      $ engine_arg $ fuel_arg $ top $ flamegraph $ sim_args)
 
 let lint_cmd =
   let run obs opts file =

@@ -24,13 +24,15 @@
       [i64] and nothing anywhere else.
     - Hot scalar operations compile to dedicated instruction forms
       ([IBin], [FBin], [GepN], [LdN], ...) dispatched directly by the
-      VM loop — no closure call, no boxing.  Vector memory accesses
-      compile to forms ([VLdV], [VStV], [VGaV], [VScV]) that the VM
-      runs through [Memory]'s shared lane loops.  Rare operations
-      compile to closures specialized on opcode and operand class (via
-      the [Eval] factories); anything irregular falls back to
-      [State.exec], the interpreter's boxed semantics, reading the
-      banks through the frame's class-aware [get].
+      VM loop — no closure call, no boxing.  Vector operations compile
+      to forms ([VIBin], [VCast], [VSel], ...) that the VM runs through
+      [Eval]'s lane kernels, and vector memory accesses to forms
+      ([VLdV], [VStV], [VGaV], [VScV]) that it runs through [Memory]'s
+      lane loops: the interpreter runs the same code.  A few rare
+      operations compile to closures specialized on operand class;
+      anything irregular falls back to [State.exec], the interpreter's
+      boxed semantics, reading the banks through the frame's
+      class-aware [get].
     - Blocks are concatenated into one instruction array; branch and
       phi targets are absolute program counters resolved at compile
       time.  A block's phi prefix becomes one parallel-copy stub per
@@ -104,11 +106,16 @@ type copies = {
      hold even when one pair's destination feeds another's source *)
   kvi_d : int array;
   kvi_s : int array;
-  kvi_t : int64 array array;
+  kvi_t : Bytes.t array;
   kvf_d : int array;
   kvf_s : int array;
   kvf_t : float array array;
 }
+
+(* where a vector form writes its result: boxed-bank slot [slot], or,
+   for a private register ([c_priv]), [lnot] of its slot; [elem] and
+   [lanes] shape the fresh vector a non-private result gets *)
+type vdst = { slot : int; elem : Pir.Types.scalar; lanes : int }
 
 type inst =
   | Acct of acct
@@ -154,30 +161,27 @@ type inst =
   | Gep64 of int * int * int * int  (** elem size, dst, base (int), idx (long) *)
   | Ld64 of int * int  (** dst (long), addr (int) *)
   | St64 of int * int  (** value (long), addr (int) *)
-  (* -- vector lane loops: slots are boxed-bank indices; the lane
-     arithmetic runs natively (same helpers as the scalar forms), so
-     nothing allocates beyond the mandatory result representation -- *)
-  | VIBinN of ibin * int * int * int * int  (** op, width <= 32, dst, a, b *)
-  | VIBin64 of ibin * int * int * int  (** [i64] lanes *)
-  | VIUnN of iun * int * int * int  (** op, width <= 32, dst, a *)
-  | VIUn64 of iun * int * int
-  | VICmpN of ipred * int * int * int * int  (** mask result, width <= 32 *)
-  | VICmp64 of ipred * int * int * int
+  (* -- vector forms: operands are boxed-bank slots, results go to a
+     [vdst].  Lanes run in [Eval]'s kernels (integer and mixed lanes)
+     or in [Vm] (float arithmetic), and in [Memory] (accesses); nothing
+     is boxed per lane -- *)
+  | VIBin of ibin * int * vdst * int * int  (** op, width, dst, a, b *)
+  | VIUn of iun * int * vdst * int  (** op, width, dst, a *)
+  | VICmp of ipred * int * vdst * int * int  (** mask result *)
   | VFBinN of fbin * bool * int * int * int  (** op, round-to-f32, dst, a, b *)
   | VFUnN of fun_ * bool * int * int
-  | VFCmpN of fpred * int * int * int  (** raw compares; mask result *)
-  | VCastIIN of cast_kind * int * int * int * int  (** kind, ws, wd, dst, a *)
-  | VCastIFN of bool * int * bool * int * int  (** signed, ws <= 32, round32 *)
-  | VCastFIN of bool * int * int * int  (** signed (fptosi), wd <= 32, dst, a *)
-  | VCastFFN of bool * int * int  (** round-to-f32, dst, a *)
-  | VShuffle of int array * int * int * int  (** lane table, dst, a, b *)
-  | VShuffleDyn of int * int * int  (** dst, a, lane-index vector *)
-  | VSel of int * int * int * int  (** dst, mask, a, b — all boxed *)
-  | VSplatI of int * int * int  (** lanes, dst, src (int bank) *)
-  | VSplatL of int * int * int  (** lanes, dst, src (long bank) *)
+  | VFCmpN of fpred * vdst * int * int  (** raw compares; mask result *)
+  | VCast of cast_kind * Pir.Types.scalar * Pir.Types.scalar * vdst * int
+      (** kind, source and destination element, dst, a *)
+  | VShuffle of int array * vdst * int * int  (** lane table, dst, a, b *)
+  | VShuffleDyn of vdst * int * int  (** dst, a, lane-index vector *)
+  | VSel of vdst * int * int * int  (** dst, mask, a, b *)
+  | VSplatI of vdst * int  (** dst, src (int bank) *)
+  | VSplatL of vdst * int  (** dst, src (long bank) *)
   | VSplatF of int * int * int  (** lanes, dst, src (float bank) *)
-  | VLdV of Pir.Types.scalar * int * int * int * int * int
-      (** elem, elem bytes, lanes, dst, addr (int bank), mask or -1 *)
+  | VLdV of int * vdst * int * int
+      (** elem bytes, dst (its element is the loaded kind), addr (int
+          bank), mask or -1 *)
   | VStV of Pir.Types.scalar * int * int * int * int
       (** elem, elem bytes, value, addr (int bank), mask or -1 *)
   | VRedI of reduce_kind * int * int * int
@@ -185,9 +189,9 @@ type inst =
           dst (int bank), src *)
   | VRedF of reduce_kind * Pir.Types.scalar * int * int
       (** float reduce: kind, elem, dst (float bank), src *)
-  | VGaV of Pir.Types.scalar * int * int * int * int * int * int
-      (** gather: elem, elem bytes, index width, dst, base (int bank),
-          index vector, mask or -1 *)
+  | VGaV of int * int * vdst * int * int * int
+      (** gather: elem bytes, index width, dst, base (int bank), index
+          vector, mask or -1 *)
   | VScV of Pir.Types.scalar * int * int * int * int * int * int
       (** scatter: elem, elem bytes, index width, value, base (int bank),
           index vector, mask or -1 *)
@@ -250,7 +254,7 @@ let box_const (c : const) : Value.t =
   match c with
   | Cint (_, x) -> Value.I x
   | Cfloat (s, x) -> Value.F (Value.round_float s x)
-  | Cvec (_, a) -> Value.VI (Array.copy a)
+  | Cvec (_, a) -> Value.VI (Value.ivec_of_array a)
 
 (* register classes *)
 let cls_boxed = 0
@@ -266,128 +270,6 @@ let class_of_ty (ty : Pir.Types.t) =
   | Pir.Types.Scalar (Pir.Types.F32 | Pir.Types.F64) -> cls_float
   | Pir.Types.Scalar Pir.Types.I64 -> cls_long
   | _ -> cls_boxed
-
-(* -- native scalar ALU --
-
-   Bit-exact reimplementation of [Pir.Ints] (canonical zero-extended
-   semantics) on the OCaml native [int] for widths <= 32.  The banks
-   store [Int64.to_int] of the value the interpreter would box — sign
-   is preserved, only values beyond 2^62 wrap — and every masked
-   operation below produces the same low [w] bits as its [Int64]
-   counterpart, because 63-bit and 64-bit wraparound agree modulo
-   2^32.  Saturating / widening-multiply / bit-count operations reuse
-   the [Int64] implementation; they are rare and still exact. *)
-
-let[@inline] mask_nat w = (1 lsl w) - 1
-
-let[@inline] sext_nat w x =
-  let x = x land mask_nat w in
-  if x land (1 lsl (w - 1)) <> 0 then x - (1 lsl w) else x
-
-let ibin_nat (k : ibin) w a b : int =
-  let m = mask_nat w in
-  match k with
-  | Add -> (a + b) land m
-  | Sub -> (a - b) land m
-  | Mul -> a * b land m
-  | And -> a land b land m
-  | Or -> (a lor b) land m
-  | Xor -> (a lxor b) land m
-  | Shl ->
-      let s = (b land m) mod 64 in
-      if s >= w then 0 else (a lsl s) land m
-  | LShr ->
-      let s = (b land m) mod 64 in
-      if s >= w then 0 else (a land m) lsr s
-  | AShr ->
-      let s = (b land m) mod 64 in
-      let s = if s >= w then w - 1 else s in
-      (sext_nat w a asr s) land m
-  | UDiv ->
-      let d = b land m in
-      if d = 0 then m else (a land m) / d
-  | SDiv ->
-      if b land m = 0 then m else (sext_nat w a / sext_nat w b) land m
-  | URem ->
-      let d = b land m in
-      if d = 0 then a land m else (a land m) mod d
-  | SRem ->
-      if b land m = 0 then 0 else (sext_nat w a mod sext_nat w b) land m
-  | SMin -> if sext_nat w a <= sext_nat w b then a land m else b land m
-  | SMax -> if sext_nat w a >= sext_nat w b then a land m else b land m
-  | UMin -> if a land m <= b land m then a land m else b land m
-  | UMax -> if a land m >= b land m then a land m else b land m
-  | AvgrU -> ((a land m) + (b land m) + 1) lsr 1 land m
-  | AbsDiffU ->
-      let ua = a land m and ub = b land m in
-      if ua >= ub then ua - ub else ub - ua
-  | UAddSat | SAddSat | USubSat | SSubSat | MulHiS | MulHiU ->
-      Int64.to_int (Pir.Fold.ibin k w (Int64.of_int a) (Int64.of_int b))
-
-let iun_nat (k : iun) w a : int =
-  let m = mask_nat w in
-  match k with
-  | INot -> lnot a land m
-  | INeg -> -a land m
-  | IAbs ->
-      let s = sext_nat w a in
-      if s >= 0 then s land m else -s land m
-  | Clz | Ctz | Popcnt -> Int64.to_int (Pir.Fold.iun k w (Int64.of_int a))
-
-let icmp_nat (p : ipred) w a b : bool =
-  let m = mask_nat w in
-  match p with
-  | Eq -> a land m = b land m
-  | Ne -> a land m <> b land m
-  | Ult -> a land m < b land m
-  | Ule -> a land m <= b land m
-  | Ugt -> a land m > b land m
-  | Uge -> a land m >= b land m
-  | Slt -> sext_nat w a < sext_nat w b
-  | Sle -> sext_nat w a <= sext_nat w b
-  | Sgt -> sext_nat w a > sext_nat w b
-  | Sge -> sext_nat w a >= sext_nat w b
-
-(* -- [i64] ALU on the long bank --
-
-   Width-64 canonical values are the full [int64] range, so the long
-   bank stores them as-is and all operations run at full 64-bit
-   exactness.  [norm 64]/[sext 64]/[zext 64] are the identity, which
-   lets the closed ring operations skip the normalization boxes;
-   everything subtler (shift-count quirks, division edge cases,
-   saturation) delegates to the very [Pir.Ints] code the interpreter
-   runs. *)
-
-let ibin64 (k : ibin) (a : int64) (b : int64) : int64 =
-  match k with
-  | Add -> Int64.add a b
-  | Sub -> Int64.sub a b
-  | Mul -> Int64.mul a b
-  | And -> Int64.logand a b
-  | Or -> Int64.logor a b
-  | Xor -> Int64.logxor a b
-  | Shl | LShr | AShr | UDiv | SDiv | URem | SRem | SMin | SMax | UMin
-  | UMax | UAddSat | SAddSat | USubSat | SSubSat | AvgrU | AbsDiffU | MulHiS
-  | MulHiU ->
-      Pir.Fold.ibin k 64 a b
-
-let iun64 (k : iun) (a : int64) : int64 = Pir.Fold.iun k 64 a
-
-(* allocation-free 64-bit compares: the unsigned ones branch on the
-   sign bit instead of going through [Int64.unsigned_compare]'s
-   bias-subtraction (which boxes its intermediates) *)
-let icmp64 (p : ipred) (a : int64) (b : int64) : bool =
-  match p with
-  | Eq -> Int64.equal a b
-  | Ne -> not (Int64.equal a b)
-  | Ult -> if (a < 0L) = (b < 0L) then a < b else b < 0L
-  | Ule -> if (a < 0L) = (b < 0L) then a <= b else b < 0L
-  | Ugt -> if (a < 0L) = (b < 0L) then a > b else a < 0L
-  | Uge -> if (a < 0L) = (b < 0L) then a >= b else a < 0L
-  | Slt -> a < b
-  | Sle -> a <= b
-  | Sgt -> a > b
-  | Sge -> a >= b
 
 (* a vector access's mask: absent, or in the boxed bank; its operand in
    the access's instruction form is [-1] or that slot *)
@@ -561,6 +443,10 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
       | 3 -> OpL (idx.(i.id), run)
       | _ -> Op (idx.(i.id), run)
   in
+  (* the destination of a vector form defining [i] *)
+  let vdst (i : instr) =
+    { slot = idx.(i.id); elem = Pir.Types.elem i.ty; lanes = Pir.Types.lanes i.ty }
+  in
   let elem_size_of (p : operand) =
     match operand_ty p with
     | Pir.Types.Ptr s -> Some (s, Pir.Types.scalar_bytes s)
@@ -583,32 +469,17 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
     match i.op with
     | Ibin (k, a, b) ->
         let ta = operand_ty a in
+        let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
         if Pir.Types.is_vector ta && Pir.Types.is_vector (operand_ty b) then begin
-          let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
           if sc_ a = cls_boxed && sc_ b = cls_boxed && dc = cls_boxed then
-            if w <= 32 then VIBinN (k, w, idx.(i.id), si a, si b)
-            else VIBin64 (k, idx.(i.id), si a, si b)
+            VIBin (k, w, vdst i, si a, si b)
           else fallback i
         end
-        else if Pir.Types.is_vector ta then fallback i
-        else begin
-          let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
-          if w <= 32 && sc_ a = cls_int && sc_ b = cls_int && dc = cls_int
-          then IBin (k, w, idx.(i.id), si a, si b)
-          else if
-            w = 64 && sc_ a = cls_long && sc_ b = cls_long && dc = cls_long
-          then IBin64 (k, idx.(i.id), si a, si b)
-          else begin
-            let fn = Eval.ibin_fn k w in
-            let ga = getv a and gb = getv b in
-            wrap_dst i (fun _ fr ->
-                match (ga fr, gb fr) with
-                | Value.I x, Value.I y -> Value.I (fn x y)
-                | va, vb ->
-                    Fmt.invalid_arg "Eval.map2v: %a, %a" Value.pp va Value.pp
-                      vb)
-          end
-        end
+        else if w <= 32 && sc_ a = cls_int && sc_ b = cls_int && dc = cls_int
+        then IBin (k, w, idx.(i.id), si a, si b)
+        else if w = 64 && sc_ a = cls_long && sc_ b = cls_long && dc = cls_long
+        then IBin64 (k, idx.(i.id), si a, si b)
+        else fallback i
     | Fbin (k, a, b) ->
         let ta = operand_ty a in
         if Pir.Types.is_vector ta && Pir.Types.is_vector (operand_ty b) then begin
@@ -631,9 +502,7 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
         let ta = operand_ty a in
         if Pir.Types.is_vector ta then begin
           let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
-          if sc_ a = cls_boxed && dc = cls_boxed then
-            if w <= 32 then VIUnN (k, w, idx.(i.id), si a)
-            else VIUn64 (k, idx.(i.id), si a)
+          if sc_ a = cls_boxed && dc = cls_boxed then VIUn (k, w, vdst i, si a)
           else fallback i
         end
         else begin
@@ -656,37 +525,22 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
         else fallback i
     | Icmp (p, a, b) ->
         let ta = operand_ty a in
+        let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
         if Pir.Types.is_vector ta && Pir.Types.is_vector (operand_ty b) then begin
-          let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
           if sc_ a = cls_boxed && sc_ b = cls_boxed && dc = cls_boxed then
-            if w <= 32 then VICmpN (p, w, idx.(i.id), si a, si b)
-            else VICmp64 (p, idx.(i.id), si a, si b)
+            VICmp (p, w, vdst i, si a, si b)
           else fallback i
         end
-        else if Pir.Types.is_vector ta then fallback i
-        else begin
-          let w = Pir.Types.scalar_bits (Pir.Types.elem ta) in
-          if w <= 32 && sc_ a = cls_int && sc_ b = cls_int && dc = cls_int
-          then ICmp (p, w, idx.(i.id), si a, si b)
-          else if
-            w = 64 && sc_ a = cls_long && sc_ b = cls_long && dc = cls_int
-          then ICmp64 (p, idx.(i.id), si a, si b)
-          else begin
-            let fn = Eval.icmp_fn p w in
-            let ga = getv a and gb = getv b in
-            wrap_dst i (fun _ fr ->
-                match (ga fr, gb fr) with
-                | Value.I x, Value.I y -> Value.of_bool (fn x y)
-                | va, vb ->
-                    Fmt.invalid_arg "Eval.icmp: %a, %a" Value.pp va Value.pp
-                      vb)
-          end
-        end
+        else if w <= 32 && sc_ a = cls_int && sc_ b = cls_int && dc = cls_int
+        then ICmp (p, w, idx.(i.id), si a, si b)
+        else if w = 64 && sc_ a = cls_long && sc_ b = cls_long && dc = cls_int
+        then ICmp64 (p, idx.(i.id), si a, si b)
+        else fallback i
     | Fcmp (p, a, b) ->
         let ta = operand_ty a in
         if Pir.Types.is_vector ta && Pir.Types.is_vector (operand_ty b) then begin
           if sc_ a = cls_boxed && sc_ b = cls_boxed && dc = cls_boxed then
-            VFCmpN (p, idx.(i.id), si a, si b)
+            VFCmpN (p, vdst i, si a, si b)
           else fallback i
         end
         else if Pir.Types.is_vector ta then fallback i
@@ -704,7 +558,7 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
           else if
             sc_ c = cls_boxed && sc_ a = cls_boxed && sc_ b = cls_boxed
             && cls.(i.id) = cls_boxed
-          then VSel (idx.(i.id), si c, si a, si b)
+          then VSel (vdst i, si c, si a, si b)
           else fallback i
         end
         else if sc_ c = cls_int then begin
@@ -731,53 +585,9 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
     | Cast (k, a, _) ->
         let ta = operand_ty a in
         if Pir.Types.is_vector ta then begin
-          let src = Pir.Types.elem ta and dstl = Pir.Types.elem i.ty in
-          let ws = Pir.Types.scalar_bits src
-          and wd = Pir.Types.scalar_bits dstl in
-          let closure () =
-            let ra = si a in
-            wrap_dst i (fun _ fr ->
-                match fr.regs.(ra) with
-                | Value.VI x ->
-                    Value.of_lanes dstl
-                      (Array.map
-                         (fun v -> Eval.cast_scalar k src dstl (Value.I v))
-                         x)
-                | Value.VF x ->
-                    Value.of_lanes dstl
-                      (Array.map
-                         (fun v -> Eval.cast_scalar k src dstl (Value.F v))
-                         x)
-                | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v)
-          in
-          if not (sc_ a = cls_boxed && dc = cls_boxed) then closure ()
-          else
-            match k with
-            | (Trunc | ZExt | SExt)
-              when Pir.Types.is_int_scalar src
-                   && Pir.Types.is_int_scalar dstl && ws <= 32 && wd <= 32 ->
-                VCastIIN (k, ws, wd, idx.(i.id), si a)
-            | SIToFP
-              when Pir.Types.is_int_scalar src
-                   && Pir.Types.is_float_scalar dstl && ws <= 32 ->
-                VCastIFN (true, ws, dstl = Pir.Types.F32, idx.(i.id), si a)
-            | UIToFP
-              when Pir.Types.is_int_scalar src
-                   && Pir.Types.is_float_scalar dstl && ws <= 32 ->
-                VCastIFN (false, ws, dstl = Pir.Types.F32, idx.(i.id), si a)
-            | FPToSI
-              when Pir.Types.is_float_scalar src
-                   && Pir.Types.is_int_scalar dstl && wd <= 32 ->
-                VCastFIN (true, wd, idx.(i.id), si a)
-            | FPToUI
-              when Pir.Types.is_float_scalar src
-                   && Pir.Types.is_int_scalar dstl && wd <= 32 ->
-                VCastFIN (false, wd, idx.(i.id), si a)
-            | (FPTrunc | FPExt)
-              when Pir.Types.is_float_scalar src
-                   && Pir.Types.is_float_scalar dstl ->
-                VCastFFN (dstl = Pir.Types.F32, idx.(i.id), si a)
-            | _ -> closure ()
+          if sc_ a = cls_boxed && dc = cls_boxed then
+            VCast (k, Pir.Types.elem ta, Pir.Types.elem i.ty, vdst i, si a)
+          else fallback i
         end
         else begin
           let src = Pir.Types.elem ta and dstl = Pir.Types.elem i.ty in
@@ -842,15 +652,12 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
         let s = Pir.Types.elem i.ty in
         if cls.(i.id) <> cls_boxed then fallback i
         else if sc_ a = cls_int && Pir.Types.is_int_scalar s then
-          VSplatI (n, idx.(i.id), si a)
+          VSplatI (vdst i, si a)
         else if sc_ a = cls_long && Pir.Types.is_int_scalar s then
-          VSplatL (n, idx.(i.id), si a)
+          VSplatL (vdst i, si a)
         else if sc_ a = cls_float && Pir.Types.is_float_scalar s then
           VSplatF (n, idx.(i.id), si a)
-        else begin
-          let ga = getv a in
-          wrap_dst i (fun _ fr -> Value.splat s n (ga fr))
-        end
+        else fallback i
     | Gep (p, ixo) -> (
         match elem_size_of p with
         | None -> bad_ptr p
@@ -925,8 +732,10 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
         match elem_size_of p with
         | None -> bad_ptr p
         | Some (s, esz) ->
-            if sc_ p = cls_int && cls.(i.id) = cls_boxed && boxed_mask sc_ mask then
-              VLdV (s, esz, Pir.Types.lanes i.ty, idx.(i.id), si p, mask_slot si mask)
+            if
+              sc_ p = cls_int && cls.(i.id) = cls_boxed && boxed_mask sc_ mask
+              && Pir.Types.elem i.ty = s
+            then VLdV (esz, vdst i, si p, mask_slot si mask)
             else fallback i)
     | VStore (v, p, mask) -> (
         match elem_size_of p with
@@ -943,7 +752,8 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
             if
               sc_ b = cls_int && sc_ ixo = cls_boxed && cls.(i.id) = cls_boxed
               && boxed_mask sc_ mask
-            then VGaV (s, esz, iw, idx.(i.id), si b, si ixo, mask_slot si mask)
+              && Pir.Types.elem i.ty = s
+            then VGaV (esz, iw, vdst i, si b, si ixo, mask_slot si mask)
             else fallback i)
     | Scatter (v, b, ixo, mask) -> (
         match elem_size_of b with
@@ -980,13 +790,9 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
     | ExtractLane (v, ixo) ->
         if sc_ v = cls_boxed && sc_ ixo = cls_int then begin
           let rv = si v and ri = si ixo in
-          wrap_dst i (fun _ fr -> Value.lane fr.regs.(rv) fr.iregs.(ri))
+          wrap_dst i (fun _ fr -> Eval.extract_lane fr.regs.(rv) fr.iregs.(ri))
         end
-        else begin
-          let gv = getv v and gi = getv ixo in
-          wrap_dst i (fun _ fr ->
-              Value.lane (gv fr) (Int64.to_int (Value.as_int (gi fr))))
-        end
+        else fallback i
     | Call (name, args) -> (
         let gs = Array.of_list (List.map getv args) in
         let collect fr = Array.fold_right (fun g acc -> g fr :: acc) gs [] in
@@ -1004,11 +810,11 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
     | Phi _ -> assert false (* phis compile to edge stubs *)
     | Shuffle (a, b, sidx) ->
         if sc_ a = cls_boxed && sc_ b = cls_boxed && dc = cls_boxed then
-          VShuffle (sidx, idx.(i.id), si a, si b)
+          VShuffle (sidx, vdst i, si a, si b)
         else fallback i
     | ShuffleDyn (a, ixo) ->
         if sc_ a = cls_boxed && sc_ ixo = cls_boxed && dc = cls_boxed then
-          VShuffleDyn (idx.(i.id), si a, si ixo)
+          VShuffleDyn (vdst i, si a, si ixo)
         else fallback i
     | InsertLane _ | FirstLane _ | Psadbw _ -> fallback i
   in
@@ -1307,7 +1113,7 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
                     Array.of_list (List.map (fun (_, s, _, _) -> s) ints);
                   kvi_t =
                     Array.of_list
-                      (List.map (fun (_, _, n, _) -> Array.make n 0L) ints);
+                      (List.map (fun (_, _, n, _) -> Value.ivec n) ints);
                   kvf_d =
                     Array.of_list (List.map (fun (d, _, _, _) -> d) flts);
                   kvf_s =
@@ -1326,32 +1132,26 @@ let compile ~(call : Pir.Func.t -> Value.t list -> Value.t)
     end
     else d
   in
+  let pv (v : vdst) = { v with slot = pdst v.slot } in
   let insts =
     Array.map
       (fun inst ->
         match inst with
-        | VIBinN (k, w, d, a, b) -> VIBinN (k, w, pdst d, a, b)
-        | VIBin64 (k, d, a, b) -> VIBin64 (k, pdst d, a, b)
-        | VIUnN (k, w, d, a) -> VIUnN (k, w, pdst d, a)
-        | VIUn64 (k, d, a) -> VIUn64 (k, pdst d, a)
-        | VICmpN (p, w, d, a, b) -> VICmpN (p, w, pdst d, a, b)
-        | VICmp64 (p, d, a, b) -> VICmp64 (p, pdst d, a, b)
+        | VIBin (k, w, d, a, b) -> VIBin (k, w, pv d, a, b)
+        | VIUn (k, w, d, a) -> VIUn (k, w, pv d, a)
+        | VICmp (p, w, d, a, b) -> VICmp (p, w, pv d, a, b)
         | VFBinN (k, r32, d, a, b) -> VFBinN (k, r32, pdst d, a, b)
         | VFUnN (k, r32, d, a) -> VFUnN (k, r32, pdst d, a)
-        | VFCmpN (p, d, a, b) -> VFCmpN (p, pdst d, a, b)
-        | VCastIIN (k, ws, wd, d, a) -> VCastIIN (k, ws, wd, pdst d, a)
-        | VCastIFN (sg, ws, r32, d, a) -> VCastIFN (sg, ws, r32, pdst d, a)
-        | VCastFIN (sg, wd, d, a) -> VCastFIN (sg, wd, pdst d, a)
-        | VCastFFN (r32, d, a) -> VCastFFN (r32, pdst d, a)
-        | VShuffle (t, d, a, b) -> VShuffle (t, pdst d, a, b)
-        | VShuffleDyn (d, a, ix) -> VShuffleDyn (pdst d, a, ix)
-        | VSel (d, c, a, b) -> VSel (pdst d, c, a, b)
-        | VSplatI (n, d, a) -> VSplatI (n, pdst d, a)
-        | VSplatL (n, d, a) -> VSplatL (n, pdst d, a)
+        | VFCmpN (p, d, a, b) -> VFCmpN (p, pv d, a, b)
+        | VCast (k, src, dst, d, a) -> VCast (k, src, dst, pv d, a)
+        | VShuffle (t, d, a, b) -> VShuffle (t, pv d, a, b)
+        | VShuffleDyn (d, a, ix) -> VShuffleDyn (pv d, a, ix)
+        | VSel (d, c, a, b) -> VSel (pv d, c, a, b)
+        | VSplatI (d, a) -> VSplatI (pv d, a)
+        | VSplatL (d, a) -> VSplatL (pv d, a)
         | VSplatF (n, d, a) -> VSplatF (n, pdst d, a)
-        | VLdV (s, esz, n, d, rp, rm) -> VLdV (s, esz, n, pdst d, rp, rm)
-        | VGaV (s, esz, iw, d, rb, rix, rm) ->
-            VGaV (s, esz, iw, pdst d, rb, rix, rm)
+        | VLdV (esz, d, rp, rm) -> VLdV (esz, pv d, rp, rm)
+        | VGaV (esz, iw, d, rb, rix, rm) -> VGaV (esz, iw, pv d, rb, rix, rm)
         | inst -> inst)
       insts
   in

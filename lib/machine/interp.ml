@@ -203,7 +203,7 @@ let get_operand env (o : operand) : Value.t =
   | Var v -> env.vals.(v)
   | Const (Cint (_, x)) -> Value.I x
   | Const (Cfloat (s, x)) -> Value.F (Value.round_float s x)
-  | Const (Cvec (_, a)) -> Value.VI (Array.copy a)
+  | Const (Cvec (_, a)) -> Value.VI (Value.ivec_of_array a)
 
 let make_env (f : Pir.Func.t) args =
   let vals = Array.make (max 1 f.next_id) Value.Unit in

@@ -182,58 +182,209 @@ let[@inline] store_f64 t addr (x : float) =
    it); a packed access is the one whose [idxs] is [packed], with lane
    [l] at [base + l * esz].  Lanes run in order, so a faulting lane
    raises after the effects of the lanes before it.  [mask] is [no_mask]
-   or one [int64] per lane, as the engines hold an [<n x i1>] value: a
-   zero lane neither touches memory nor faults, and a load writes zero
-   into it.  A load fills the lanes of a destination vector the caller
-   supplies (a fresh one, or a register the VM overwrites in place);
-   integer lanes of at most 32 bits share the boxes of [Value.box64]. *)
+   or the [<n x i1>] lanes of a mask value: a zero lane neither touches
+   memory nor faults, and a load writes zero into it.  A load fills the
+   lanes of a destination vector the caller supplies (a fresh one, or a
+   register the VM overwrites in place).  Integer lanes are {!Value}'s
+   unboxed slots.  A packed access whose whole range is already
+   materialised checks its bounds once and runs one loop for its scalar
+   kind; any other access checks, and materialises, lane by lane, so
+   faults, their text and their order are the lane-by-lane rule's. *)
 
 (* both empty, which no real mask or index vector is *)
-let no_mask : int64 array = [||]
+let no_mask = Bytes.empty
 
-let packed : int64 array = [||]
+let packed = Bytes.empty
 
-let[@inline] active mask l = mask == no_mask || mask.(l) <> 0L
+let[@inline] active mask l = mask == no_mask || Value.get64u mask (8 * l) <> 0L
 
 let[@inline] lane_addr base esz iw idxs l =
   if idxs == packed then base + (l * esz)
   else
+    (* [Pir.Ints.sext iw] as a shift pair, which boxes nothing *)
+    let sh = 64 - iw in
     Int64.to_int
       (Int64.add (Int64.of_int base)
-         (Int64.mul (Pir.Ints.sext iw idxs.(l)) (Int64.of_int esz)))
+         (Int64.mul
+            (Int64.shift_right (Int64.shift_left (Value.get64u idxs (8 * l)) sh) sh)
+            (Int64.of_int esz)))
 
-let[@inline] load_lane t (s : Pir.Types.scalar) addr : int64 =
-  if s = Pir.Types.I64 then load_int t s addr else Value.box64 (load_nat t s addr)
+(* an access of [n] lanes reads [n] lanes of its indices and mask *)
+let check_shape n idxs mask =
+  if
+    (idxs != packed && Bytes.length idxs < 8 * n)
+    || (mask != no_mask && Bytes.length mask < 8 * n)
+  then invalid_arg "Memory: fewer index or mask lanes than accessed lanes"
 
-let gather t s ~base ~esz ~iw ~idxs ~mask (dst : Value.t) =
-  match dst with
-  | Value.VI r ->
-      for l = 0 to Array.length r - 1 do
-        Array.unsafe_set r l
-          (if active mask l then load_lane t s (lane_addr base esz iw idxs l)
+(* [load_int] and [store_int] on lane slot [o] of [r]: the [int64] never
+   leaves the function *)
+let load_lane t (s : Pir.Types.scalar) addr (r : Bytes.t) o =
+  check t addr (Pir.Types.scalar_bytes s) "load";
+  Value.set64u r o
+    (match s with
+    | I1 -> if Bytes.get_uint8 t.data addr <> 0 then 1L else 0L
+    | I8 -> Int64.of_int (Bytes.get_uint8 t.data addr)
+    | I16 -> Int64.of_int (Bytes.get_uint16_le t.data addr)
+    | I32 ->
+        Int64.of_int
+          (Bytes.get_uint16_le t.data addr
+          lor (Bytes.get_uint16_le t.data (addr + 2) lsl 16))
+    | I64 -> Bytes.get_int64_le t.data addr
+    | F32 | F64 -> Fmt.invalid_arg "Memory.load_lane: %a" Pir.Types.pp (Pir.Types.Scalar s))
+
+let store_lane t (s : Pir.Types.scalar) addr (x : Bytes.t) o =
+  check t addr (Pir.Types.scalar_bytes s) "store";
+  let v = Value.get64u x o in
+  match s with
+  | I1 -> Bytes.set_uint8 t.data addr (if v = 0L then 0 else 1)
+  | I8 -> Bytes.set_uint8 t.data addr (Int64.to_int v land 0xFF)
+  | I16 -> Bytes.set_uint16_le t.data addr (Int64.to_int v land 0xFFFF)
+  | I32 ->
+      let v = Int64.to_int v in
+      Bytes.set_uint16_le t.data addr (v land 0xFFFF);
+      Bytes.set_uint16_le t.data (addr + 2) ((v lsr 16) land 0xFFFF)
+  | I64 -> Bytes.set_int64_le t.data addr v
+  | F32 | F64 -> Fmt.invalid_arg "Memory.store_lane: %a" Pir.Types.pp (Pir.Types.Scalar s)
+
+(* a packed access of [n] lanes of [esz] bytes at [base] that lies
+   wholly in the materialised bytes: no lane can fault or materialise *)
+let[@inline] resident_range t base esz n = base >= 64 && base + (n * esz) <= Bytes.length t.data
+
+(* The packed load of [n] lanes at [base], all resident: one loop for
+   the scalar kind.  An inactive lane's bytes are read and dropped. *)
+let load_resident t (s : Pir.Types.scalar) ~base ~mask (dst : Value.t) n =
+  let data = t.data in
+  match (s, dst) with
+  | I1, Value.VI r ->
+      for l = 0 to n - 1 do
+        Value.set64u r (8 * l)
+          (if active mask l && Bytes.get_uint8 data (base + l) <> 0 then 1L else 0L)
+      done
+  | I8, Value.VI r ->
+      for l = 0 to n - 1 do
+        Value.set64u r (8 * l)
+          (if active mask l then Int64.of_int (Bytes.get_uint8 data (base + l)) else 0L)
+      done
+  | I16, Value.VI r ->
+      for l = 0 to n - 1 do
+        Value.set64u r (8 * l)
+          (if active mask l then Int64.of_int (Bytes.get_uint16_le data (base + (2 * l)))
            else 0L)
       done
-  | Value.VF r ->
-      for l = 0 to Array.length r - 1 do
+  | I32, Value.VI r ->
+      for l = 0 to n - 1 do
+        let a = base + (4 * l) in
+        Value.set64u r (8 * l)
+          (if active mask l then
+             Int64.of_int
+               (Bytes.get_uint16_le data a lor (Bytes.get_uint16_le data (a + 2) lsl 16))
+           else 0L)
+      done
+  | I64, Value.VI r ->
+      for l = 0 to n - 1 do
+        Value.set64u r (8 * l)
+          (if active mask l then Bytes.get_int64_le data (base + (8 * l)) else 0L)
+      done
+  | F32, Value.VF r ->
+      for l = 0 to n - 1 do
         Array.unsafe_set r l
-          (if active mask l then load_float t s (lane_addr base esz iw idxs l)
+          (if active mask l then Int32.float_of_bits (Bytes.get_int32_le data (base + (4 * l)))
            else 0.0)
       done
-  | v -> Fmt.invalid_arg "Memory.gather: %a" Value.pp v
+  | F64, Value.VF r ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set r l
+          (if active mask l then Int64.float_of_bits (Bytes.get_int64_le data (base + (8 * l)))
+           else 0.0)
+      done
+  | _, v -> Fmt.invalid_arg "Memory.load_packed: %a as %a" Value.pp v Pir.Types.pp (Pir.Types.Scalar s)
+
+let gather t s ~base ~esz ~iw ~idxs ~mask (dst : Value.t) =
+  let n = Value.lanes dst in
+  check_shape n idxs mask;
+  if idxs == packed && resident_range t base esz n then
+    load_resident t s ~base ~mask dst n
+  else
+    match dst with
+    | Value.VI r ->
+        for l = 0 to n - 1 do
+          if active mask l then load_lane t s (lane_addr base esz iw idxs l) r (8 * l)
+          else Value.set64u r (8 * l) 0L
+        done
+    | Value.VF r ->
+        for l = 0 to n - 1 do
+          Array.unsafe_set r l
+            (if active mask l then load_float t s (lane_addr base esz iw idxs l) else 0.0)
+        done
+    | v -> Fmt.invalid_arg "Memory.gather: %a" Value.pp v
+
+(* The packed store of [n] lanes at [base], all resident: one loop for
+   the scalar kind. *)
+let store_resident t (s : Pir.Types.scalar) ~base ~mask (v : Value.t) n =
+  let data = t.data in
+  match (s, v) with
+  | I1, Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          Bytes.set_uint8 data (base + l) (if Value.get64u x (8 * l) = 0L then 0 else 1)
+      done
+  | I8, Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          Bytes.set_uint8 data (base + l) (Int64.to_int (Value.get64u x (8 * l)) land 0xFF)
+      done
+  | I16, Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          Bytes.set_uint16_le data (base + (2 * l))
+            (Int64.to_int (Value.get64u x (8 * l)) land 0xFFFF)
+      done
+  | I32, Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then begin
+          let a = base + (4 * l) and v = Int64.to_int (Value.get64u x (8 * l)) in
+          Bytes.set_uint16_le data a (v land 0xFFFF);
+          Bytes.set_uint16_le data (a + 2) ((v lsr 16) land 0xFFFF)
+        end
+      done
+  | I64, Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then Bytes.set_int64_le data (base + (8 * l)) (Value.get64u x (8 * l))
+      done
+  | F32, Value.VF x ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          Bytes.set_int32_le data (base + (4 * l)) (Int32.bits_of_float (Array.unsafe_get x l))
+      done
+  | F64, Value.VF x ->
+      for l = 0 to n - 1 do
+        if active mask l then
+          Bytes.set_int64_le data (base + (8 * l)) (Int64.bits_of_float (Array.unsafe_get x l))
+      done
+  | _, v -> Fmt.invalid_arg "Memory.store_packed: %a as %a" Value.pp v Pir.Types.pp (Pir.Types.Scalar s)
 
 (* A value of the wrong class for [s] goes through [store_scalar], which
    rejects it at the first active lane. *)
 let scatter t s ~base ~esz ~iw ~idxs ~mask (v : Value.t) =
-  let n = if idxs == packed then Value.lanes v else Array.length idxs in
+  let n = if idxs == packed then Value.lanes v else Value.ilanes idxs in
+  check_shape n idxs mask;
+  let fast = idxs == packed && resident_range t base esz n in
   match v with
   | Value.VI x when not (Pir.Types.is_float_scalar s) ->
-      for l = 0 to n - 1 do
-        if active mask l then store_int t s (lane_addr base esz iw idxs l) x.(l)
-      done
+      if Value.ilanes x < n then invalid_arg "Memory.scatter: fewer value lanes than indices";
+      if fast then store_resident t s ~base ~mask v n
+      else
+        for l = 0 to n - 1 do
+          if active mask l then store_lane t s (lane_addr base esz iw idxs l) x (8 * l)
+        done
   | Value.VF x when Pir.Types.is_float_scalar s ->
-      for l = 0 to n - 1 do
-        if active mask l then store_float t s (lane_addr base esz iw idxs l) x.(l)
-      done
+      if Array.length x < n then invalid_arg "Memory.scatter: fewer value lanes than indices";
+      if fast then store_resident t s ~base ~mask v n
+      else
+        for l = 0 to n - 1 do
+          if active mask l then
+            store_float t s (lane_addr base esz iw idxs l) (Array.unsafe_get x l)
+        done
   | v ->
       for l = 0 to n - 1 do
         if active mask l then

@@ -12,9 +12,9 @@
 
 open Pir.Instr
 
-exception Trap of string
+exception Trap = Eval.Trap
 
-let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
+let trap = Eval.trap
 
 type t = {
   mem : Memory.t;
@@ -38,7 +38,10 @@ type t = {
           to the current node is [cyc - mark] (unboxed, like [cyc]) *)
 }
 
-let create ?mem ?(fuel = 2_000_000_000) ?(profile = false) () =
+(** The instruction budget of a run unless its creator sets one. *)
+let default_fuel = 2_000_000_000
+
+let create ?mem ?(fuel = default_fuel) ?(profile = false) () =
   {
     mem = (match mem with Some m -> m | None -> Memory.create ());
     stats = Stats.empty ();
@@ -165,7 +168,7 @@ let elem_size oty (p : operand) =
 
 let addr (v : Value.t) = Int64.to_int (Value.as_int v)
 
-(* a mask operand as the engines hold it: one [int64] per lane *)
+(* a mask operand as the engines hold it: its integer lanes *)
 let mask_lanes get (mask : operand option) =
   match mask with
   | None -> Memory.no_mask
@@ -213,7 +216,7 @@ let exec t ~(get : operand -> Value.t) ~(oty : operand -> Pir.Types.t)
       let base = addr (get b) in
       let idxs = Value.as_ivec (get idx) in
       st.gathers <- st.gathers + 1;
-      let dst = Value.vec s (Array.length idxs) in
+      let dst = Value.vec s (Value.ilanes idxs) in
       Memory.gather t.mem s ~base ~esz ~iw:(index_bits oty idx) ~idxs
         ~mask:(mask_lanes get mask) dst;
       dst

@@ -7,7 +7,9 @@
     engine.  Calls to SPMD-annotated functions run one gang on an
     interpreter built over the same state ([gangs]); that, and reading
     the gangs' per-block profile rows, is all the VM asks of {!Interp}.
-    Vector memory accesses run [Memory]'s shared lane loops.
+    Vector operations run [Eval]'s lane kernels and vector memory
+    accesses [Memory]'s lane loops, the code the interpreter runs; the
+    float arithmetic forms keep their loops here.
 
     The dispatch loop is a tail-recursive walk of the instruction
     array: one match per instruction, absolute jumps, no hashtable
@@ -44,31 +46,15 @@ let stats t = t.st.State.stats
 
 let mem t = t.st.State.mem
 
-(* float<->bits conversions on the unboxed external chain: [round32]
-   reproduces [Value.round_float F32] without leaving float registers *)
-external f32_bits : float -> int32
-  = "caml_int32_bits_of_float" "caml_int32_bits_of_float_unboxed"
-[@@unboxed] [@@noalloc]
+(* [Value.round_float F32] without leaving float registers *)
+let[@inline] round32 x = Value.f32_of_bits (Value.f32_bits x)
 
-external f32_of_bits : int32 -> float
-  = "caml_int32_float_of_bits" "caml_int32_float_of_bits_unboxed"
-[@@unboxed] [@@noalloc]
-
-let[@inline] round32 x = f32_of_bits (f32_bits x)
-
-(* destination arrays for the vector lane loops.  A non-negative dst
-   allocates fresh and publishes the wrapper afterwards ([fin_*]); a
+(* destination arrays for the float lane loops.  A non-negative dst
+   allocates fresh and publishes the wrapper afterwards ([fin_vf]); a
    negative dst is a private register ([Bc.c_priv]): the slot already
    holds the frame's preallocated wrapper, lanes are overwritten in
    place and nothing is published.  The shape guard turns ill-typed IR
    into a trap instead of an out-of-bounds lane write. *)
-let[@inline] dst_vi (fr : Bc.frame) (d : int) (n : int) : int64 array =
-  if d >= 0 then Array.make n 0L
-  else
-    match Array.unsafe_get fr.Bc.regs (lnot d) with
-    | Value.VI r when Array.length r = n -> r
-    | v -> Fmt.invalid_arg "Vm.private: %a" Value.pp v
-
 let[@inline] dst_vf (fr : Bc.frame) (d : int) (n : int) : float array =
   if d >= 0 then Array.make n 0.0
   else
@@ -76,21 +62,19 @@ let[@inline] dst_vf (fr : Bc.frame) (d : int) (n : int) : float array =
     | Value.VF r when Array.length r = n -> r
     | v -> Fmt.invalid_arg "Vm.private: %a" Value.pp v
 
-let[@inline] fin_vi (fr : Bc.frame) (d : int) (r : int64 array) =
-  if d >= 0 then Array.unsafe_set fr.Bc.regs d (Value.VI r)
-
 let[@inline] fin_vf (fr : Bc.frame) (d : int) (r : float array) =
   if d >= 0 then Array.unsafe_set fr.Bc.regs d (Value.VF r)
 
-(* the destination of a vector load: a fresh vector published into a
-   non-negative dst, or the private register itself *)
-let[@inline] dst_vec (fr : Bc.frame) (d : int) s (n : int) : Value.t =
-  if d >= 0 then begin
-    let v = Value.vec s n in
-    Array.unsafe_set fr.Bc.regs d v;
-    v
+(* the destination of every other vector form: a fresh vector published
+   into its slot before the lanes are computed, or the private register
+   itself, which the lane loop checks the shape of *)
+let[@inline] dst (fr : Bc.frame) (v : Bc.vdst) : Value.t =
+  if v.slot >= 0 then begin
+    let r = Value.vec v.elem v.lanes in
+    Array.unsafe_set fr.Bc.regs v.slot r;
+    r
   end
-  else Array.unsafe_get fr.Bc.regs (lnot d)
+  else Array.unsafe_get fr.Bc.regs (lnot v.slot)
 
 let[@inline] mask_of (fr : Bc.frame) rm =
   if rm < 0 then Memory.no_mask else Value.as_ivec (Array.unsafe_get fr.Bc.regs rm)
@@ -113,16 +97,16 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
   | Bc.IBin (k, w, d, a, b) ->
       let ir = fr.iregs in
       Array.unsafe_set ir d
-        (Bc.ibin_nat k w (Array.unsafe_get ir a) (Array.unsafe_get ir b));
+        (Eval.ibin_nat k w (Array.unsafe_get ir a) (Array.unsafe_get ir b));
       exec t c fr (pc + 1)
   | Bc.IUn (k, w, d, a) ->
       let ir = fr.iregs in
-      Array.unsafe_set ir d (Bc.iun_nat k w (Array.unsafe_get ir a));
+      Array.unsafe_set ir d (Eval.iun_nat k w (Array.unsafe_get ir a));
       exec t c fr (pc + 1)
   | Bc.ICmp (p, w, d, a, b) ->
       let ir = fr.iregs in
       Array.unsafe_set ir d
-        (if Bc.icmp_nat p w (Array.unsafe_get ir a) (Array.unsafe_get ir b)
+        (if Eval.icmp_nat p w (Array.unsafe_get ir a) (Array.unsafe_get ir b)
          then 1
          else 0);
       exec t c fr (pc + 1)
@@ -193,9 +177,9 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       let x = Array.unsafe_get fr.iregs a in
       let r =
         match k with
-        | Trunc -> x land Bc.mask_nat wd
-        | ZExt -> x land Bc.mask_nat ws
-        | SExt -> Bc.sext_nat ws x land Bc.mask_nat wd
+        | Trunc -> x land Eval.mask_nat wd
+        | ZExt -> x land Eval.mask_nat ws
+        | SExt -> Eval.sext_nat ws x land Eval.mask_nat wd
         | _ -> assert false
       in
       Array.unsafe_set fr.iregs d r;
@@ -203,8 +187,8 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
   | Bc.CastIF (signed, ws, r32, d, a) ->
       let x = Array.unsafe_get fr.iregs a in
       let f =
-        if signed then float_of_int (Bc.sext_nat ws x)
-        else float_of_int (x land Bc.mask_nat ws)
+        if signed then float_of_int (Eval.sext_nat ws x)
+        else float_of_int (x land Eval.mask_nat ws)
       in
       Array.unsafe_set fr.fregs d (if r32 then round32 f else f);
       exec t c fr (pc + 1)
@@ -213,7 +197,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       let v =
         if x <> x || ((not signed) && x < 0.0) then 0 else int_of_float x
       in
-      Array.unsafe_set fr.iregs d (v land Bc.mask_nat wd);
+      Array.unsafe_set fr.iregs d (v land Eval.mask_nat wd);
       exec t c fr (pc + 1)
   | Bc.CastFF (r32, d, a) ->
       let x = Array.unsafe_get fr.fregs a in
@@ -221,18 +205,18 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       exec t c fr (pc + 1)
   | Bc.BcastIF (d, a) ->
       Array.unsafe_set fr.fregs d
-        (f32_of_bits (Int32.of_int (Array.unsafe_get fr.iregs a)));
+        (Value.f32_of_bits (Int32.of_int (Array.unsafe_get fr.iregs a)));
       exec t c fr (pc + 1)
   | Bc.BcastFI (d, a) ->
       Array.unsafe_set fr.iregs d
-        (Int32.to_int (f32_bits (Array.unsafe_get fr.fregs a))
+        (Int32.to_int (Value.f32_bits (Array.unsafe_get fr.fregs a))
         land 0xFFFFFFFF);
       exec t c fr (pc + 1)
   | Bc.GepN (esz, iw, d, base, ix) ->
       let ir = fr.iregs in
       Array.unsafe_set ir d
         (Array.unsafe_get ir base
-        + (Bc.sext_nat iw (Array.unsafe_get ir ix) * esz));
+        + (Eval.sext_nat iw (Array.unsafe_get ir ix) * esz));
       exec t c fr (pc + 1)
   | Bc.AllocaN (bytes, d) ->
       Array.unsafe_set fr.iregs d (Memory.alloc t.st.State.mem bytes);
@@ -279,16 +263,16 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
   | Bc.IBin64 (k, d, a, b) ->
       let lr = fr.lregs in
       Array.unsafe_set lr d
-        (Bc.ibin64 k (Array.unsafe_get lr a) (Array.unsafe_get lr b));
+        (Eval.ibin64 k (Array.unsafe_get lr a) (Array.unsafe_get lr b));
       exec t c fr (pc + 1)
   | Bc.IUn64 (k, d, a) ->
       let lr = fr.lregs in
-      Array.unsafe_set lr d (Bc.iun64 k (Array.unsafe_get lr a));
+      Array.unsafe_set lr d (Eval.iun64 k (Array.unsafe_get lr a));
       exec t c fr (pc + 1)
   | Bc.ICmp64 (p, d, a, b) ->
       let lr = fr.lregs in
       Array.unsafe_set fr.iregs d
-        (if Bc.icmp64 p (Array.unsafe_get lr a) (Array.unsafe_get lr b) then 1
+        (if Eval.icmp64 p (Array.unsafe_get lr a) (Array.unsafe_get lr b) then 1
          else 0);
       exec t c fr (pc + 1)
   | Bc.Sel64 (d, cnd, a, b) ->
@@ -310,15 +294,15 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       exec t c fr (pc + 1)
   | Bc.Cast64Trunc (wd, d, a) ->
       Array.unsafe_set fr.iregs d
-        (Int64.to_int (Array.unsafe_get fr.lregs a) land Bc.mask_nat wd);
+        (Int64.to_int (Array.unsafe_get fr.lregs a) land Eval.mask_nat wd);
       exec t c fr (pc + 1)
   | Bc.CastZ64 (ws, d, a) ->
       Array.unsafe_set fr.lregs d
-        (Int64.of_int (Array.unsafe_get fr.iregs a land Bc.mask_nat ws));
+        (Int64.of_int (Array.unsafe_get fr.iregs a land Eval.mask_nat ws));
       exec t c fr (pc + 1)
   | Bc.CastS64 (ws, d, a) ->
       Array.unsafe_set fr.lregs d
-        (Int64.of_int (Bc.sext_nat ws (Array.unsafe_get fr.iregs a)));
+        (Int64.of_int (Eval.sext_nat ws (Array.unsafe_get fr.iregs a)));
       exec t c fr (pc + 1)
   | Bc.Cast64IF (signed, r32, d, a) ->
       let x = Array.unsafe_get fr.lregs a in
@@ -356,87 +340,16 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.lregs src);
       exec t c fr (pc + 1)
-  | Bc.VIBinN (k, w, d, a, b) ->
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VI x, Value.VI y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (Value.box64
-                 (Bc.ibin_nat k w
-                    (Int64.to_int (Array.unsafe_get x l))
-                    (Int64.to_int (Array.unsafe_get y l))))
-          done;
-          fin_vi fr d r
-      | va, vb -> Fmt.invalid_arg "Eval.map2v: %a, %a" Value.pp va Value.pp vb);
+  | Bc.VIBin (k, w, d, a, b) ->
+      let regs = fr.regs in
+      Eval.ibin_lanes k w (dst fr d) (Array.unsafe_get regs a) (Array.unsafe_get regs b);
       exec t c fr (pc + 1)
-  | Bc.VIBin64 (k, d, a, b) ->
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VI x, Value.VI y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (Bc.ibin64 k (Array.unsafe_get x l) (Array.unsafe_get y l))
-          done;
-          fin_vi fr d r
-      | va, vb -> Fmt.invalid_arg "Eval.map2v: %a, %a" Value.pp va Value.pp vb);
+  | Bc.VIUn (k, w, d, a) ->
+      Eval.iun_lanes k w (dst fr d) (Array.unsafe_get fr.regs a);
       exec t c fr (pc + 1)
-  | Bc.VIUnN (k, w, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (Value.box64
-                 (Bc.iun_nat k w (Int64.to_int (Array.unsafe_get x l))))
-          done;
-          fin_vi fr d r
-      | v -> Fmt.invalid_arg "Eval.iun: %a" Value.pp v);
-      exec t c fr (pc + 1)
-  | Bc.VIUn64 (k, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l (Bc.iun64 k (Array.unsafe_get x l))
-          done;
-          fin_vi fr d r
-      | v -> Fmt.invalid_arg "Eval.iun: %a" Value.pp v);
-      exec t c fr (pc + 1)
-  | Bc.VICmpN (p, w, d, a, b) ->
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VI x, Value.VI y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (if
-                 Bc.icmp_nat p w
-                   (Int64.to_int (Array.unsafe_get x l))
-                   (Int64.to_int (Array.unsafe_get y l))
-               then 1L
-               else 0L)
-          done;
-          fin_vi fr d r
-      | va, vb -> Fmt.invalid_arg "Eval.icmp: %a, %a" Value.pp va Value.pp vb);
-      exec t c fr (pc + 1)
-  | Bc.VICmp64 (p, d, a, b) ->
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VI x, Value.VI y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (if Bc.icmp64 p (Array.unsafe_get x l) (Array.unsafe_get y l)
-               then 1L
-               else 0L)
-          done;
-          fin_vi fr d r
-      | va, vb -> Fmt.invalid_arg "Eval.icmp: %a, %a" Value.pp va Value.pp vb);
+  | Bc.VICmp (p, w, d, a, b) ->
+      let regs = fr.regs in
+      Eval.icmp_lanes p w (dst fr d) (Array.unsafe_get regs a) (Array.unsafe_get regs b);
       exec t c fr (pc + 1)
   | Bc.VFBinN (k, r32, d, a, b) ->
       (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
@@ -506,182 +419,30 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       | v -> Fmt.invalid_arg "Eval.fun: %a" Value.pp v);
       exec t c fr (pc + 1)
   | Bc.VFCmpN (p, d, a, b) ->
-      (* raw comparisons, no rounding: [Eval.fcmp_fn] parity *)
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VF x, Value.VF y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            let xa = Array.unsafe_get x l and xb = Array.unsafe_get y l in
-            Array.unsafe_set r l
-              (if
-                 match p with
-                 | Oeq -> xa = xb
-                 | One -> xa < xb || xa > xb
-                 | Olt -> xa < xb
-                 | Ole -> xa <= xb
-                 | Ogt -> xa > xb
-                 | Oge -> xa >= xb
-               then 1L
-               else 0L)
-          done;
-          fin_vi fr d r
-      | va, vb -> Fmt.invalid_arg "Eval.fcmp: %a, %a" Value.pp va Value.pp vb);
+      let regs = fr.regs in
+      Eval.fcmp_lanes p (dst fr d) (Array.unsafe_get regs a) (Array.unsafe_get regs b);
       exec t c fr (pc + 1)
-  | Bc.VCastIIN (k, ws, wd, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            let xi = Int64.to_int (Array.unsafe_get x l) in
-            let v =
-              match k with
-              | Trunc -> xi land Bc.mask_nat wd
-              | ZExt -> xi land Bc.mask_nat ws
-              | SExt -> Bc.sext_nat ws xi land Bc.mask_nat wd
-              | _ -> assert false
-            in
-            Array.unsafe_set r l (Value.box64 v)
-          done;
-          fin_vi fr d r
-      | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
-      exec t c fr (pc + 1)
-  | Bc.VCastIFN (signed, ws, r32, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let n = Array.length x in
-          let r = dst_vf fr d n in
-          for l = 0 to n - 1 do
-            let xi = Int64.to_int (Array.unsafe_get x l) in
-            let f =
-              if signed then float_of_int (Bc.sext_nat ws xi)
-              else float_of_int (xi land Bc.mask_nat ws)
-            in
-            Array.unsafe_set r l (if r32 then round32 f else f)
-          done;
-          fin_vf fr d r
-      | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
-      exec t c fr (pc + 1)
-  | Bc.VCastFIN (signed, wd, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VF x ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            let xf = Float.trunc (Array.unsafe_get x l) in
-            let v =
-              if xf <> xf || ((not signed) && xf < 0.0) then 0
-              else int_of_float xf
-            in
-            Array.unsafe_set r l (Value.box64 (v land Bc.mask_nat wd))
-          done;
-          fin_vi fr d r
-      | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
-      exec t c fr (pc + 1)
-  | Bc.VCastFFN (r32, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VF x ->
-          let n = Array.length x in
-          let r = dst_vf fr d n in
-          for l = 0 to n - 1 do
-            let xf = Array.unsafe_get x l in
-            Array.unsafe_set r l (if r32 then round32 xf else xf)
-          done;
-          fin_vf fr d r
-      | v -> Fmt.invalid_arg "Eval.cast: %a" Value.pp v);
+  | Bc.VCast (k, src, dstl, d, a) ->
+      Eval.cast_lanes k src dstl (dst fr d) (Array.unsafe_get fr.regs a);
       exec t c fr (pc + 1)
   | Bc.VShuffle (sidx, d, a, b) ->
-      (* lane table entries: -1 selects zero, [0, na) picks from [a],
-         the rest from [b]; lane reads stay bounds-checked ([Eval]
-         parity on malformed tables) *)
-      (match (Array.unsafe_get fr.regs a, Array.unsafe_get fr.regs b) with
-      | Value.VI x, Value.VI y ->
-          let na = Array.length x in
-          let n = Array.length sidx in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            let k = Array.unsafe_get sidx l in
-            Array.unsafe_set r l
-              (if k = -1 then 0L else if k < na then x.(k) else y.(k - na))
-          done;
-          fin_vi fr d r
-      | Value.VF x, Value.VF y ->
-          let na = Array.length x in
-          let n = Array.length sidx in
-          let r = dst_vf fr d n in
-          for l = 0 to n - 1 do
-            let k = Array.unsafe_get sidx l in
-            Array.unsafe_set r l
-              (if k = -1 then 0.0 else if k < na then x.(k) else y.(k - na))
-          done;
-          fin_vf fr d r
-      | va, vb ->
-          Fmt.invalid_arg "Eval.shuffle: %a, %a" Value.pp va Value.pp vb);
+      let regs = fr.regs in
+      Eval.shuffle_lanes sidx (dst fr d) (Array.unsafe_get regs a) (Array.unsafe_get regs b);
       exec t c fr (pc + 1)
   | Bc.VShuffleDyn (d, a, ix) ->
-      (* out-of-range indices wrap modulo the lane count (power-of-two
-         gangs): [Eval] parity *)
-      let idxv = Value.as_ivec (Array.unsafe_get fr.regs ix) in
-      let n = Array.length idxv in
-      let nm1 = Int64.of_int (n - 1) in
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              x.(Int64.to_int (Int64.logand (Array.unsafe_get idxv l) nm1)
-                 mod n)
-          done;
-          fin_vi fr d r
-      | Value.VF x ->
-          let r = dst_vf fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              x.(Int64.to_int (Int64.logand (Array.unsafe_get idxv l) nm1)
-                 mod n)
-          done;
-          fin_vf fr d r
-      | v -> Fmt.invalid_arg "Eval.shuffle_dyn: %a" Value.pp v);
+      let regs = fr.regs in
+      Eval.shuffle_dyn_lanes (dst fr d) (Array.unsafe_get regs a) (Array.unsafe_get regs ix);
       exec t c fr (pc + 1)
   | Bc.VSel (d, cm, a, b) ->
-      (match
-         ( Array.unsafe_get fr.regs cm,
-           Array.unsafe_get fr.regs a,
-           Array.unsafe_get fr.regs b )
-       with
-      | Value.VI mask, Value.VI x, Value.VI y ->
-          let n = Array.length x in
-          let r = dst_vi fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (if Array.unsafe_get mask l <> 0L then Array.unsafe_get x l
-               else Array.unsafe_get y l)
-          done;
-          fin_vi fr d r
-      | Value.VI mask, Value.VF x, Value.VF y ->
-          let n = Array.length x in
-          let r = dst_vf fr d n in
-          for l = 0 to n - 1 do
-            Array.unsafe_set r l
-              (if Array.unsafe_get mask l <> 0L then Array.unsafe_get x l
-               else Array.unsafe_get y l)
-          done;
-          fin_vf fr d r
-      | _, va, vb ->
-          Fmt.invalid_arg "Eval.select: %a, %a" Value.pp va Value.pp vb);
+      let regs = fr.regs in
+      Eval.select_lanes (dst fr d) (Array.unsafe_get regs cm) (Array.unsafe_get regs a)
+        (Array.unsafe_get regs b);
       exec t c fr (pc + 1)
-  | Bc.VSplatI (n, d, a) ->
-      let v = Value.box64 (Array.unsafe_get fr.iregs a) in
-      let r = dst_vi fr d n in
-      Array.fill r 0 n v;
-      fin_vi fr d r;
+  | Bc.VSplatI (d, a) ->
+      Eval.splat_lanes (dst fr d) (Int64.of_int (Array.unsafe_get fr.iregs a));
       exec t c fr (pc + 1)
-  | Bc.VSplatL (n, d, a) ->
-      let v = Array.unsafe_get fr.lregs a in
-      let r = dst_vi fr d n in
-      Array.fill r 0 n v;
-      fin_vi fr d r;
+  | Bc.VSplatL (d, a) ->
+      Eval.splat_lanes (dst fr d) (Array.unsafe_get fr.lregs a);
       exec t c fr (pc + 1)
   | Bc.VSplatF (n, d, a) ->
       let v = Array.unsafe_get fr.fregs a in
@@ -689,12 +450,12 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       Array.fill r 0 n v;
       fin_vf fr d r;
       exec t c fr (pc + 1)
-  | Bc.VLdV (s, esz, n, d, rp, rm) ->
+  | Bc.VLdV (esz, d, rp, rm) ->
       let st = t.st.State.stats in
       st.packed_mem <- st.packed_mem + 1;
-      Memory.load_packed t.st.State.mem s
+      Memory.load_packed t.st.State.mem d.elem
         ~base:(Array.unsafe_get fr.iregs rp)
-        ~esz ~mask:(mask_of fr rm) (dst_vec fr d s n);
+        ~esz ~mask:(mask_of fr rm) (dst fr d);
       exec t c fr (pc + 1)
   | Bc.VStV (s, esz, rv, rp, rm) ->
       let st = t.st.State.stats in
@@ -705,82 +466,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
         (Array.unsafe_get fr.regs rv);
       exec t c fr (pc + 1)
   | Bc.VRedI (k, w, d, a) ->
-      (match Array.unsafe_get fr.regs a with
-      | Value.VI x ->
-          let n = Array.length x in
-          let m = Bc.mask_nat w in
-          let v =
-            match k with
-            | RAny ->
-                let r = ref 0 and l = ref 0 in
-                while !r = 0 && !l < n do
-                  if Array.unsafe_get x !l <> 0L then r := 1;
-                  incr l
-                done;
-                !r
-            | RAll ->
-                let r = ref 1 and l = ref 0 in
-                while !r = 1 && !l < n do
-                  if Array.unsafe_get x !l = 0L then r := 0;
-                  incr l
-                done;
-                !r
-            | RAdd ->
-                let acc = ref 0 in
-                for l = 0 to n - 1 do
-                  acc := (!acc + Int64.to_int (Array.unsafe_get x l)) land m
-                done;
-                !acc
-            | RAnd ->
-                let acc = ref m in
-                for l = 0 to n - 1 do
-                  acc := !acc land Int64.to_int (Array.unsafe_get x l)
-                done;
-                !acc
-            | ROr ->
-                let acc = ref 0 in
-                for l = 0 to n - 1 do
-                  acc := !acc lor Int64.to_int (Array.unsafe_get x l)
-                done;
-                !acc
-            | RXor ->
-                let acc = ref 0 in
-                for l = 0 to n - 1 do
-                  acc := (!acc lxor Int64.to_int (Array.unsafe_get x l)) land m
-                done;
-                !acc
-            | RSMin ->
-                let acc = ref (Int64.to_int (Array.get x 0)) in
-                for l = 0 to n - 1 do
-                  let e = Int64.to_int (Array.unsafe_get x l) in
-                  if Bc.sext_nat w e < Bc.sext_nat w !acc then acc := e
-                done;
-                !acc land m
-            | RSMax ->
-                let acc = ref (Int64.to_int (Array.get x 0)) in
-                for l = 0 to n - 1 do
-                  let e = Int64.to_int (Array.unsafe_get x l) in
-                  if Bc.sext_nat w e > Bc.sext_nat w !acc then acc := e
-                done;
-                !acc land m
-            | RUMin ->
-                let acc = ref (Int64.to_int (Array.get x 0)) in
-                for l = 0 to n - 1 do
-                  let e = Int64.to_int (Array.unsafe_get x l) in
-                  if e < !acc then acc := e
-                done;
-                !acc land m
-            | RUMax ->
-                let acc = ref (Int64.to_int (Array.get x 0)) in
-                for l = 0 to n - 1 do
-                  let e = Int64.to_int (Array.unsafe_get x l) in
-                  if e > !acc then acc := e
-                done;
-                !acc land m
-            | _ -> assert false
-          in
-          Array.unsafe_set fr.iregs d v
-      | v -> Fmt.invalid_arg "Eval.reduce: %a" Value.pp v);
+      Array.unsafe_set fr.iregs d (Eval.reduce_nat k w (Array.unsafe_get fr.regs a));
       exec t c fr (pc + 1)
   | Bc.VRedF (k, s, d, a) ->
       (match Array.unsafe_get fr.regs a with
@@ -821,14 +507,14 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
           Array.unsafe_set fr.fregs d v
       | v -> Fmt.invalid_arg "Eval.reduce: %a" Value.pp v);
       exec t c fr (pc + 1)
-  | Bc.VGaV (s, esz, iw, d, rb, rix, rm) ->
+  | Bc.VGaV (esz, iw, d, rb, rix, rm) ->
       let st = t.st.State.stats in
       st.gathers <- st.gathers + 1;
-      let idxs = Value.as_ivec (Array.unsafe_get fr.regs rix) in
-      Memory.gather t.st.State.mem s
+      Memory.gather t.st.State.mem d.elem
         ~base:(Array.unsafe_get fr.iregs rb)
-        ~esz ~iw ~idxs ~mask:(mask_of fr rm)
-        (dst_vec fr d s (Array.length idxs));
+        ~esz ~iw
+        ~idxs:(Value.as_ivec (Array.unsafe_get fr.regs rix))
+        ~mask:(mask_of fr rm) (dst fr d);
       exec t c fr (pc + 1)
   | Bc.VScV (s, esz, iw, rv, rb, rix, rm) ->
       let st = t.st.State.stats in
@@ -881,8 +567,8 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       for j = 0 to nvi - 1 do
         let t = Array.unsafe_get k.kvi_t j in
         match Array.unsafe_get regs (Array.unsafe_get k.kvi_s j) with
-        | Value.VI x when Array.length x = Array.length t ->
-            Array.blit x 0 t 0 (Array.length t)
+        | Value.VI x when Bytes.length x = Bytes.length t ->
+            Bytes.blit x 0 t 0 (Bytes.length t)
         | v -> Fmt.invalid_arg "Vm.private: %a" Value.pp v
       done;
       let nvf = Array.length k.kvf_d in
@@ -900,8 +586,8 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       for j = 0 to nvi - 1 do
         let t = Array.unsafe_get k.kvi_t j in
         match Array.unsafe_get regs (Array.unsafe_get k.kvi_d j) with
-        | Value.VI r when Array.length r = Array.length t ->
-            Array.blit t 0 r 0 (Array.length t)
+        | Value.VI r when Bytes.length r = Bytes.length t ->
+            Bytes.blit t 0 r 0 (Bytes.length t)
         | v -> Fmt.invalid_arg "Vm.private: %a" Value.pp v
       done;
       for j = 0 to nvf - 1 do
@@ -965,8 +651,7 @@ let fresh_frame (c : Bc.code) : Bc.frame =
   Array.iter
     (fun (d, n, isf) ->
       regs.(d) <-
-        (if isf then Value.VF (Array.make n 0.0)
-         else Value.VI (Array.make n 0L)))
+        (if isf then Value.VF (Array.make n 0.0) else Value.VI (Value.ivec n)))
     c.Bc.c_priv;
   List.iter (fun (s, v) -> iregs.(s) <- v) c.Bc.c_consts_i;
   List.iter (fun (s, v) -> fregs.(s) <- v) c.Bc.c_consts_f;

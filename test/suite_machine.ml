@@ -256,8 +256,7 @@ let test_memory_resident_saxpy () =
     (Pmachine.Memory.load_scalar mem Types.F32 (y + 28));
   within_twice_break "run"
 
-(* Integer loads below 2^16 share [Pmachine.Value]'s cells; the table
-   lives there alone ([Value.box64] reads it too). *)
+(* Integer loads below 2^16 share [Pmachine.Value]'s cells. *)
 let test_memory_shared_cells () =
   let m = Pmachine.Memory.create () in
   let a = Pmachine.Memory.alloc m 64 in
@@ -285,11 +284,7 @@ let test_memory_shared_cells () =
       [
         (I32, 65536L); (I32, 0xFFFF_FFFFL); (I64, 65536L); (I64, 0xFFFF_FFFFL);
         (I64, Int64.min_int); (I64, -1L);
-      ];
-  (* [box64] fills the slot on first use, so it runs first *)
-  let b = Pmachine.Value.box64 1234 in
-  Alcotest.(check bool) "box64 reads Value.small64" true
-    (b == Pmachine.Value.small64.(1234))
+      ]
 
 (* -- Interpreter on straight-line and branchy code -- *)
 

@@ -710,6 +710,275 @@ let check_access acc () =
         [ false; true ])
     Types.[ I8; I16; I32; I64; F32; F64 ]
 
+(* -- the lane kernels against Pir.Fold, lane by lane --
+
+   Both engines run integer vector operations through [Pmachine.Eval]'s
+   lane kernels, so engine parity cannot catch a kernel bug: a wrong
+   lane is wrong on both.  Each case holds the VM's instruction arm and
+   [Eval.pure_op] (the interpreter's path) to the scalar definitions
+   applied lane by lane: [Pir.Fold] for the integer operations, the
+   scalar cast, and the documented fold orders, blends and lane
+   routings.  Lanes are drawn to hit each width's edges; at width 64
+   also values at and above 2^62 and negative [int64]s. *)
+
+let widths = [ 1; 8; 16; 32; 64 ]
+
+let scalar_of_width w =
+  Types.(match w with 1 -> I1 | 8 -> I8 | 16 -> I16 | 32 -> I32 | _ -> I64)
+
+let lane_gen w =
+  let open QCheck.Gen in
+  let half = Int64.shift_left 1L (w - 1) in
+  let edges =
+    [ 0L; 1L; 2L; Int64.pred half; half; Int64.succ half; Ints.mask_of_bits w ]
+    @
+    if w < 64 then []
+    else [ Int64.shift_left 1L 62; Int64.add (Int64.shift_left 1L 62) 5L; -2L; -77L ]
+  in
+  map (Ints.norm w)
+    (frequency [ (3, oneofl edges); (2, map Int64.of_int (int_range (-300) 300)); (3, ui64) ])
+
+let lanes_gen w n = QCheck.Gen.array_size (QCheck.Gen.return n) (lane_gen w)
+
+let ivec a = Pmachine.Value.VI (Pmachine.Value.ivec_of_array a)
+
+(* [op] over parameters [Var 0 ..] of types [tys], with result type
+   [ty], on [args]: through [Eval.pure_op] and through a one-instruction
+   function on the VM *)
+let both ~ty tys op args =
+  let operand_ty = function Instr.Var v -> List.nth tys v | Instr.Const c -> Instr.ty_of_const c in
+  let get = function Instr.Var v -> List.nth args v | Instr.Const _ -> assert false in
+  let pure = Pmachine.Eval.pure_op ~ty ~operand_ty ~get op in
+  let f = Func.create "k" ~params:(List.mapi (fun i t -> (i, t)) tys) ~ret:ty in
+  let b = Builder.create f in
+  Builder.ret b (Some (Builder.ins b ty op));
+  Builder.finish b;
+  let m = Func.create_module "k" in
+  Func.add_func m f;
+  (pure, Pmachine.Vm.run (Pmachine.Vm.create m) "k" args)
+
+let agree name expected (pure, vm) =
+  let ok = Pmachine.Value.equal expected pure && Pmachine.Value.equal expected vm in
+  if not ok then
+    QCheck.Test.fail_reportf "%s: expected %a, pure_op %a, vm %a" name Pmachine.Value.pp
+      expected Pmachine.Value.pp pure Pmachine.Value.pp vm;
+  ok
+
+let kernel_test name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:400 (QCheck.make gen) prop)
+
+let binary_gen ops =
+  let open QCheck.Gen in
+  let* k = oneofl ops in
+  let* w = oneofl widths in
+  let* n = int_range 1 16 in
+  let* x = lanes_gen w n in
+  let* y = lanes_gen w n in
+  return (k, w, x, y)
+
+let vty w n = Types.Vec (scalar_of_width w, Array.length n)
+
+let test_kernel_ibin =
+  kernel_test "kernels: ibin"
+    (binary_gen
+       Instr.
+         [ Add; Sub; Mul; UDiv; SDiv; URem; SRem; And; Or; Xor; Shl; LShr; AShr; SMin; SMax;
+           UMin; UMax; UAddSat; SAddSat; USubSat; SSubSat; AvgrU; AbsDiffU; MulHiS; MulHiU ])
+    (fun (k, w, x, y) ->
+      let t = vty w x in
+      agree
+        (Fmt.str "%a i%d" Printer.pp_ibin k w)
+        (ivec (Array.map2 (Fold.ibin k w) x y))
+        (both ~ty:t [ t; t ] (Instr.Ibin (k, Var 0, Var 1)) [ ivec x; ivec y ]))
+
+let test_kernel_iun =
+  kernel_test "kernels: iun"
+    (binary_gen Instr.[ INot; INeg; IAbs; Clz; Ctz; Popcnt ])
+    (fun (k, w, x, _) ->
+      let t = vty w x in
+      agree
+        (Fmt.str "%a i%d" Printer.pp_iun k w)
+        (ivec (Array.map (Fold.iun k w) x))
+        (both ~ty:t [ t ] (Instr.Iun (k, Var 0)) [ ivec x ]))
+
+let test_kernel_icmp =
+  kernel_test "kernels: icmp"
+    (binary_gen Instr.[ Eq; Ne; Ult; Ule; Ugt; Uge; Slt; Sle; Sgt; Sge ])
+    (fun (p, w, x, y) ->
+      let t = vty w x in
+      agree
+        (Fmt.str "%a i%d" Printer.pp_ipred p w)
+        (ivec (Array.map2 (fun a b -> if Fold.icmp p w a b then 1L else 0L) x y))
+        (both ~ty:(Types.Vec (I1, Array.length x)) [ t; t ] (Instr.Icmp (p, Var 0, Var 1))
+           [ ivec x; ivec y ]))
+
+(* integer casts between every pair of widths, and the casts to and from
+   float lanes, against [Eval.cast_scalar] *)
+let test_kernel_cast =
+  let open QCheck.Gen in
+  kernel_test "kernels: cast"
+    (let* k, src, dst =
+       oneof
+         [
+           (let* k = oneofl Instr.[ Trunc; ZExt; SExt ] in
+            let* ws = oneofl widths and* wd = oneofl widths in
+            return (k, scalar_of_width ws, scalar_of_width wd));
+           (let* k = oneofl Instr.[ SIToFP; UIToFP ] in
+            let* ws = oneofl widths and* d = oneofl Types.[ F32; F64 ] in
+            return (k, scalar_of_width ws, d));
+         ]
+     in
+     let* n = int_range 1 16 in
+     let* x = lanes_gen (Types.scalar_bits src) n in
+     return (k, src, dst, x))
+    (fun (k, src, dst, x) ->
+      let n = Array.length x in
+      let lanes = Array.map (fun v -> Pmachine.Eval.cast_scalar k src dst (Pmachine.Value.I v)) x in
+      let expected =
+        if Types.is_float_scalar dst then Pmachine.Value.VF (Array.map Pmachine.Value.as_float lanes)
+        else ivec (Array.map Pmachine.Value.as_int lanes)
+      in
+      agree
+        (Fmt.str "%a %a -> %a" Printer.pp_cast k Types.pp_scalar src Types.pp_scalar dst)
+        expected
+        (both ~ty:(Types.Vec (dst, n)) [ Types.Vec (src, n) ]
+           (Instr.Cast (k, Var 0, Types.Vec (dst, n)))
+           [ ivec x ]))
+
+let test_kernel_reduce =
+  kernel_test "kernels: reduce"
+    (binary_gen Instr.[ RAny; RAll; RAdd; RAnd; ROr; RXor; RSMin; RSMax; RUMin; RUMax ])
+    (fun (k, w, x, _) ->
+      let fold op init = Array.fold_left (Fold.ibin op w) init x in
+      let expected =
+        match k with
+        | Instr.RAny -> Pmachine.Value.of_bool (Array.exists (( <> ) 0L) x)
+        | RAll -> Pmachine.Value.of_bool (Array.for_all (( <> ) 0L) x)
+        | RAdd -> I (fold Add 0L)
+        | RAnd -> I (fold And (Ints.mask_of_bits w))
+        | ROr -> I (fold Or 0L)
+        | RXor -> I (fold Xor 0L)
+        | RSMin -> I (fold SMin x.(0))
+        | RSMax -> I (fold SMax x.(0))
+        | RUMin -> I (fold UMin x.(0))
+        | _ -> I (fold UMax x.(0))
+      in
+      let ty =
+        match k with Instr.RAny | RAll -> Types.bool_ | _ -> Types.Scalar (scalar_of_width w)
+      in
+      agree
+        (Fmt.str "%a i%d" Printer.pp_reduce k w)
+        expected
+        (both ~ty [ vty w x ] (Instr.Reduce (k, Var 0)) [ ivec x ]))
+
+let test_kernel_select =
+  let open QCheck.Gen in
+  kernel_test "kernels: select, splat"
+    (let* _, w, x, y = binary_gen [ () ] in
+     let* m = array_size (return (Array.length x)) (oneofl [ 0L; 1L ]) in
+     return (w, x, y, m))
+    (fun (w, x, y, m) ->
+      let n = Array.length x and t = vty w x in
+      agree
+        (Fmt.str "select i%d" w)
+        (ivec (Array.init n (fun l -> if m.(l) <> 0L then x.(l) else y.(l))))
+        (both ~ty:t [ Types.Vec (I1, n); t; t ] (Instr.Select (Var 0, Var 1, Var 2))
+           [ ivec m; ivec x; ivec y ])
+      && agree
+           (Fmt.str "splat i%d" w)
+           (ivec (Array.make n x.(0)))
+           (both ~ty:t [ Types.Scalar (scalar_of_width w) ] (Instr.Splat (Var 0, n))
+              [ Pmachine.Value.I x.(0) ]))
+
+let test_kernel_shuffle =
+  let open QCheck.Gen in
+  kernel_test "kernels: shuffle, shuffle_dyn"
+    (let* _, w, x, y = binary_gen [ () ] in
+     let n = Array.length x in
+     let* table = array_size (int_range 1 16) (int_range (-1) ((2 * n) - 1)) in
+     let* idx = lanes_gen 32 n in
+     return (w, x, y, table, idx))
+    (fun (w, x, y, table, idx) ->
+      let n = Array.length x and t = vty w x in
+      let xy = Array.append x y in
+      let sel k = Int64.to_int (Int64.logand k (Int64.of_int (n - 1))) mod n in
+      agree
+        (Fmt.str "shuffle i%d" w)
+        (ivec (Array.map (fun k -> if k = -1 then 0L else xy.(k)) table))
+        (both
+           ~ty:(Types.Vec (scalar_of_width w, Array.length table))
+           [ t; t ] (Instr.Shuffle (Var 0, Var 1, table)) [ ivec x; ivec y ])
+      && agree
+           (Fmt.str "shuffle_dyn i%d" w)
+           (ivec (Array.map (fun k -> x.(sel k)) idx))
+           (both ~ty:t [ t; Types.Vec (I32, n) ] (Instr.ShuffleDyn (Var 0, Var 1))
+              [ ivec x; ivec idx ]))
+
+let test_kernel_psadbw =
+  let open QCheck.Gen in
+  kernel_test "kernels: psadbw"
+    (let* g = int_range 1 4 in
+     let* x = lanes_gen 8 (8 * g) and* y = lanes_gen 8 (8 * g) in
+     return (x, y))
+    (fun (x, y) ->
+      let n = Array.length x in
+      let group g =
+        let acc = ref 0L in
+        for k = 0 to 7 do
+          acc := Int64.add !acc (Ints.abs_diff_u 8 x.((8 * g) + k) y.((8 * g) + k))
+        done;
+        !acc
+      in
+      agree "psadbw" (ivec (Array.init (n / 8) group))
+        (both ~ty:(Types.Vec (I64, n / 8)) [ Types.Vec (I8, n); Types.Vec (I8, n) ]
+           (Instr.Psadbw (Var 0, Var 1)) [ ivec x; ivec y ]))
+
+(* -- lane indices out of range trap on both engines, with one text -- *)
+
+let test_lane_index_traps () =
+  let v4 = Types.Vec (I32, 4) in
+  let v = ivec [| 10L; 11L; 12L; 13L |] in
+  let i32 k = Pmachine.Value.I (Ints.norm 32 (Int64.of_int k)) in
+  let trap_of kind tys ty op args =
+    let f = Func.create "k" ~params:(List.mapi (fun i t -> (i, t)) tys) ~ret:ty in
+    let b = Builder.create f in
+    Builder.ret b (Some (Builder.ins b ty op));
+    Builder.finish b;
+    let m = Func.create_module "k" in
+    Func.add_func m f;
+    match Pmachine.Engine.run (Pmachine.Engine.create ~kind m) "k" args with
+    | r -> Fmt.str "ok %a" Pmachine.Value.pp r
+    | exception Pmachine.State.Trap msg -> "trap: " ^ msg
+  in
+  List.iter
+    (fun (what, tys, ty, op, args, expected) ->
+      List.iter
+        (fun kind ->
+          Alcotest.(check string)
+            (Fmt.str "%s on %s" what (Pmachine.Engine.kind_to_string kind))
+            expected
+            (trap_of kind tys ty op args))
+        Pmachine.Engine.all_kinds)
+    [
+      ( "extract lane 4", [ v4; Types.i32 ], Types.i32, Instr.ExtractLane (Var 0, Var 1),
+        [ v; i32 4 ], "trap: extract of lane 4 from 4-lane vector" );
+      ( "extract lane -1", [ v4; Types.i32 ], Types.i32, Instr.ExtractLane (Var 0, Var 1),
+        [ v; i32 (-1) ], "trap: extract of lane 4294967295 from 4-lane vector" );
+      ( "extract lane 3", [ v4; Types.i32 ], Types.i32, Instr.ExtractLane (Var 0, Var 1),
+        [ v; i32 3 ], "ok 13" );
+      ( "insert lane 7", [ v4; Types.i32; Types.i32 ], v4,
+        Instr.InsertLane (Var 0, Var 1, Var 2), [ v; i32 99; i32 7 ],
+        "trap: insert at lane 7 of 4-lane vector" );
+      ( "insert lane 0", [ v4; Types.i32; Types.i32 ], v4,
+        Instr.InsertLane (Var 0, Var 1, Var 2), [ v; i32 99; i32 0 ], "ok <99,11,12,13>" );
+      ( "shuffle entry 8", [ v4; v4 ], v4, Instr.Shuffle (Var 0, Var 1, [| 0; 8; 1; 2 |]),
+        [ v; v ], "trap: shuffle of lane 8 from two vectors of 4 and 4 lanes" );
+      ( "shuffle entry -2", [ v4; v4 ], v4, Instr.Shuffle (Var 0, Var 1, [| -2; 0; 1; 2 |]),
+        [ v; v ], "trap: shuffle of lane -2 from two vectors of 4 and 4 lanes" );
+      ( "shuffle entries -1 and 7", [ v4; v4 ], v4,
+        Instr.Shuffle (Var 0, Var 1, [| -1; 7; 1; 4 |]), [ v; v ], "ok <0,13,11,10>" );
+    ]
+
 let suites =
   [
     ( "vm",
@@ -732,6 +1001,16 @@ let suites =
           test_gang_accounting;
         Alcotest.test_case "endless gang runs out of fuel (both engines)" `Quick
           test_gang_out_of_fuel;
+        Alcotest.test_case "lane indices out of range trap (both engines)" `Quick
+          test_lane_index_traps;
+        test_kernel_ibin;
+        test_kernel_iun;
+        test_kernel_icmp;
+        test_kernel_cast;
+        test_kernel_reduce;
+        test_kernel_select;
+        test_kernel_shuffle;
+        test_kernel_psadbw;
       ]
       @ List.map
           (fun acc ->
