@@ -8,18 +8,19 @@
 
     Vector operations with integer lanes run through the lane kernels
     below ([ibin_lanes], [icmp_lanes], [cast_lanes], [select_lanes],
-    ...).  A kernel checks its operands' classes and lane counts and
-    matches its opcode and width once per instruction, then runs one
-    loop over the lanes into a destination vector the caller supplies:
-    the VM passes its destination register (a private one is
-    overwritten in place), [pure_op] a fresh vector.  So the two engines
-    run one definition of each vector operation, and no integer lane is
-    boxed on the way.  The lane arithmetic is exact: on native [int]s at
-    widths up to 32 ([ibin_nat], ...), on [int64]s at width 64
-    ([ibin64], ...), both inlined into the loops so that no [int64]
-    crosses a call.  A differential test in test/suite_vm.ml holds
-    every kernel, through both engines, to [Pir.Fold] applied lane by
-    lane. *)
+    ...).  A kernel checks its operands' classes, lane counts and width
+    once per instruction, then loops over the lanes into a destination
+    vector the caller supplies: the VM passes its destination register
+    (a private one is overwritten in place), [pure_op] a fresh vector.
+    So the two engines run one definition of each vector operation, and
+    no integer lane is boxed on the way.  The lane arithmetic is exact:
+    on native [int]s at widths up to 32 ([ibin_nat], ...), on [int64]s
+    at width 64 ([ibin64], ...), both inlined into the loops so that no
+    [int64] crosses a call.  At widths up to 32 a kernel matches its
+    opcode once and runs that opcode's loop ([ibin_loop], ...); at width
+    64 its one loop takes the opcode's case lane by lane.  A
+    differential test in test/suite_vm.ml holds every kernel, through
+    both engines, to [Pir.Fold] applied lane by lane. *)
 
 open Pir.Instr
 
@@ -132,9 +133,9 @@ let cast_scalar (k : cast_kind) (src : Pir.Types.scalar) (dst : Pir.Types.scalar
 
 let[@inline] mask_nat w = (1 lsl w) - 1
 
-let[@inline] sext_nat w x =
-  let x = x land mask_nat w in
-  if x land (1 lsl (w - 1)) <> 0 then x - (1 lsl w) else x
+(* bit [w - 1] moved to the sign bit of the 63-bit [int] and back, with
+   no branch *)
+let[@inline] sext_nat w x = (x lsl (63 - w)) asr (63 - w)
 
 (* a signed result clamped to width [w], canonical *)
 let[@inline] ssat_nat w r =
@@ -385,6 +386,29 @@ let check_flanes what (a : float array) n =
   if Array.length a <> n then
     Fmt.invalid_arg "Eval.%s: %d lanes where %d are due" what (Array.length a) n
 
+(* The lane loops at widths up to 32.  Each is inlined at every call in
+   the kernels below with a constant opcode, so the match of the scalar
+   table it inlines folds away: every opcode gets a loop of its own
+   from this one text, and its lanes run no dispatch. *)
+
+let[@inline] ibin_loop (k : ibin) w d x y n =
+  for l = 0 to n - 1 do
+    let o = 8 * l in
+    set_nat d o (ibin_nat k w (nat x o) (nat y o))
+  done
+
+let[@inline] iun_loop (k : iun) w d x n =
+  for l = 0 to n - 1 do
+    let o = 8 * l in
+    set_nat d o (iun_nat k w (nat x o))
+  done
+
+let[@inline] icmp_loop (p : ipred) w d x y n =
+  for l = 0 to n - 1 do
+    let o = 8 * l in
+    Value.set64u d o (if icmp_nat p w (nat x o) (nat y o) then 1L else 0L)
+  done
+
 (** [d] gets [x k y] at width [w], lane by lane. *)
 let ibin_lanes (k : ibin) w d x y =
   let d = ints "ibin" d and x = ints "ibin" x and y = ints "ibin" y in
@@ -392,55 +416,37 @@ let ibin_lanes (k : ibin) w d x y =
   check_lanes "ibin" x n;
   check_lanes "ibin" y n;
   if w = 64 then
-    match k with
-    | Add ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o (Int64.add (Value.get64u x o) (Value.get64u y o))
-        done
-    | _ ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o (ibin64 k (Value.get64u x o) (Value.get64u y o))
-        done
+    for l = 0 to n - 1 do
+      let o = 8 * l in
+      Value.set64u d o (ibin64 k (Value.get64u x o) (Value.get64u y o))
+    done
   else
-    let m = mask_nat w in
     match k with
-    | Add ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o ((nat x o + nat y o) land m)
-        done
-    | Sub ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o ((nat x o - nat y o) land m)
-        done
-    | Mul ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o (nat x o * nat y o land m)
-        done
-    | And ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o (nat x o land nat y o land m)
-        done
-    | Or ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o ((nat x o lor nat y o) land m)
-        done
-    | Xor ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o ((nat x o lxor nat y o) land m)
-        done
-    | _ ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o (ibin_nat k w (nat x o) (nat y o))
-        done
+    | Add -> ibin_loop Add w d x y n
+    | Sub -> ibin_loop Sub w d x y n
+    | Mul -> ibin_loop Mul w d x y n
+    | UDiv -> ibin_loop UDiv w d x y n
+    | SDiv -> ibin_loop SDiv w d x y n
+    | URem -> ibin_loop URem w d x y n
+    | SRem -> ibin_loop SRem w d x y n
+    | And -> ibin_loop And w d x y n
+    | Or -> ibin_loop Or w d x y n
+    | Xor -> ibin_loop Xor w d x y n
+    | Shl -> ibin_loop Shl w d x y n
+    | LShr -> ibin_loop LShr w d x y n
+    | AShr -> ibin_loop AShr w d x y n
+    | SMin -> ibin_loop SMin w d x y n
+    | SMax -> ibin_loop SMax w d x y n
+    | UMin -> ibin_loop UMin w d x y n
+    | UMax -> ibin_loop UMax w d x y n
+    | UAddSat -> ibin_loop UAddSat w d x y n
+    | SAddSat -> ibin_loop SAddSat w d x y n
+    | USubSat -> ibin_loop USubSat w d x y n
+    | SSubSat -> ibin_loop SSubSat w d x y n
+    | AvgrU -> ibin_loop AvgrU w d x y n
+    | AbsDiffU -> ibin_loop AbsDiffU w d x y n
+    | MulHiS -> ibin_loop MulHiS w d x y n
+    | MulHiU -> ibin_loop MulHiU w d x y n
 
 (** [d] gets [k x] at width [w], lane by lane. *)
 let iun_lanes (k : iun) w d x =
@@ -454,17 +460,12 @@ let iun_lanes (k : iun) w d x =
     done
   else
     match k with
-    | INot ->
-        let m = mask_nat w in
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o (lnot (nat x o) land m)
-        done
-    | _ ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          set_nat d o (iun_nat k w (nat x o))
-        done
+    | INot -> iun_loop INot w d x n
+    | INeg -> iun_loop INeg w d x n
+    | IAbs -> iun_loop IAbs w d x n
+    | Clz -> iun_loop Clz w d x n
+    | Ctz -> iun_loop Ctz w d x n
+    | Popcnt -> iun_loop Popcnt w d x n
 
 (** [d] gets the mask of [x p y] at width [w]: 1 where it holds, else 0. *)
 let icmp_lanes (p : ipred) w d x y =
@@ -477,47 +478,18 @@ let icmp_lanes (p : ipred) w d x y =
       let o = 8 * l in
       Value.set64u d o (if icmp64 p (Value.get64u x o) (Value.get64u y o) then 1L else 0L)
     done
-  else begin
-    (* keys: the canonical value, its sign bit flipped for the signed
-       predicates, whose order is then the keys' order *)
-    let m = mask_nat w in
-    let flip = match p with Slt | Sle | Sgt | Sge -> 1 lsl (w - 1) | _ -> 0 in
+  else
     match p with
-    | Eq ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o (if nat x o land m = nat y o land m then 1L else 0L)
-        done
-    | Ne ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o (if nat x o land m <> nat y o land m then 1L else 0L)
-        done
-    | Ult | Slt ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o
-            (if (nat x o land m) lxor flip < (nat y o land m) lxor flip then 1L else 0L)
-        done
-    | Ule | Sle ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o
-            (if (nat x o land m) lxor flip <= (nat y o land m) lxor flip then 1L else 0L)
-        done
-    | Ugt | Sgt ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o
-            (if (nat x o land m) lxor flip > (nat y o land m) lxor flip then 1L else 0L)
-        done
-    | Uge | Sge ->
-        for l = 0 to n - 1 do
-          let o = 8 * l in
-          Value.set64u d o
-            (if (nat x o land m) lxor flip >= (nat y o land m) lxor flip then 1L else 0L)
-        done
-  end
+    | Eq -> icmp_loop Eq w d x y n
+    | Ne -> icmp_loop Ne w d x y n
+    | Ult -> icmp_loop Ult w d x y n
+    | Ule -> icmp_loop Ule w d x y n
+    | Ugt -> icmp_loop Ugt w d x y n
+    | Uge -> icmp_loop Uge w d x y n
+    | Slt -> icmp_loop Slt w d x y n
+    | Sle -> icmp_loop Sle w d x y n
+    | Sgt -> icmp_loop Sgt w d x y n
+    | Sge -> icmp_loop Sge w d x y n
 
 (** [d] gets the mask of the raw comparison [x p y] of float lanes. *)
 let fcmp_lanes (p : fpred) d x y =
@@ -542,6 +514,7 @@ let fcmp_lanes (p : fpred) d x y =
       done
   | _, va, vb -> Fmt.invalid_arg "Eval.fcmp: %a, %a" Value.pp va Value.pp vb
 
+(* as in [Vm]; see [Value.f32_bits] *)
 let[@inline] round32 x = Value.f32_of_bits (Value.f32_bits x)
 
 (** [d] gets each lane of [x] cast by [k] from [src] to [dst]:

@@ -60,119 +60,111 @@ let[@inline never] reach t addr len what =
 let[@inline] check t addr len what =
   if addr < 64 || addr + len > Bytes.length t.data then reach t addr len what
 
-let load_scalar t (s : Pir.Types.scalar) addr : Value.t =
-  let len = Pir.Types.scalar_bytes s in
-  check t addr len "load";
+(* -- Byte layout of each scalar kind --
+
+   The one encoding of each kind in memory, little-endian and
+   unchecked: every access below checks its bounds and then calls
+   these.  An integer kind reads as its canonical zero-extended value
+   and stores its low bytes ([I1] as 0 or 1); [I32] moves as two 16-bit
+   halves, which boxes nothing on the non-flambda native compiler.
+   They are inlined where they are called, so the [int64] or [float]
+   they read or write never crosses a call. *)
+
+let[@inline never] not_int (s : Pir.Types.scalar) =
+  Fmt.invalid_arg "Memory: %a is not an integer kind" Pir.Types.pp (Pir.Types.Scalar s)
+
+let[@inline never] not_float (s : Pir.Types.scalar) =
+  Fmt.invalid_arg "Memory: %a is not a float kind" Pir.Types.pp (Pir.Types.Scalar s)
+
+let[@inline] get_int data (s : Pir.Types.scalar) a : int64 =
   match s with
-  | I1 -> Value.of_nat (if Bytes.get_uint8 t.data addr <> 0 then 1 else 0)
-  | I8 -> Value.of_nat (Bytes.get_uint8 t.data addr)
-  | I16 -> Value.of_nat (Bytes.get_uint16_le t.data addr)
-  | I32 -> Value.of_nat (Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFF_FFFF)
-  | I64 -> Value.of_int64 (Bytes.get_int64_le t.data addr)
-  | F32 -> Value.F (Int32.float_of_bits (Bytes.get_int32_le t.data addr))
-  | F64 -> Value.F (Int64.float_of_bits (Bytes.get_int64_le t.data addr))
+  | I1 -> if Bytes.get_uint8 data a <> 0 then 1L else 0L
+  | I8 -> Int64.of_int (Bytes.get_uint8 data a)
+  | I16 -> Int64.of_int (Bytes.get_uint16_le data a)
+  | I32 ->
+      Int64.of_int (Bytes.get_uint16_le data a lor (Bytes.get_uint16_le data (a + 2) lsl 16))
+  | I64 -> Bytes.get_int64_le data a
+  | F32 | F64 -> not_int s
+
+let[@inline] set_int data (s : Pir.Types.scalar) a (x : int64) =
+  match s with
+  | I1 -> Bytes.set_uint8 data a (if x = 0L then 0 else 1)
+  | I8 -> Bytes.set_uint8 data a (Int64.to_int x land 0xFF)
+  | I16 -> Bytes.set_uint16_le data a (Int64.to_int x land 0xFFFF)
+  | I32 ->
+      let v = Int64.to_int x in
+      Bytes.set_uint16_le data a (v land 0xFFFF);
+      Bytes.set_uint16_le data (a + 2) ((v lsr 16) land 0xFFFF)
+  | I64 -> Bytes.set_int64_le data a x
+  | F32 | F64 -> not_int s
+
+let[@inline] get_float data (s : Pir.Types.scalar) a : float =
+  match s with
+  | F32 -> Int32.float_of_bits (Bytes.get_int32_le data a)
+  | F64 -> Int64.float_of_bits (Bytes.get_int64_le data a)
+  | I1 | I8 | I16 | I32 | I64 -> not_float s
+
+let[@inline] set_float data (s : Pir.Types.scalar) a (x : float) =
+  match s with
+  | F32 -> Bytes.set_int32_le data a (Int32.bits_of_float x)
+  | F64 -> Bytes.set_int64_le data a (Int64.bits_of_float x)
+  | I1 | I8 | I16 | I32 | I64 -> not_float s
+
+(* -- Scalar accesses -- *)
+
+let load_scalar t (s : Pir.Types.scalar) addr : Value.t =
+  check t addr (Pir.Types.scalar_bytes s) "load";
+  match s with
+  | I1 | I8 | I16 | I32 -> Value.of_nat (Int64.to_int (get_int t.data s addr))
+  | I64 -> Value.of_int64 (get_int t.data s addr)
+  | F32 | F64 -> Value.F (get_float t.data s addr)
 
 let store_scalar t (s : Pir.Types.scalar) addr (v : Value.t) =
-  let len = Pir.Types.scalar_bytes s in
-  check t addr len "store";
+  check t addr (Pir.Types.scalar_bytes s) "store";
   match (s, v) with
-  | I1, Value.I x -> Bytes.set_uint8 t.data addr (if x = 0L then 0 else 1)
-  | I8, Value.I x -> Bytes.set_uint8 t.data addr (Int64.to_int (Int64.logand x 0xFFL))
-  | I16, Value.I x -> Bytes.set_uint16_le t.data addr (Int64.to_int (Int64.logand x 0xFFFFL))
-  | I32, Value.I x -> Bytes.set_int32_le t.data addr (Int64.to_int32 x)
-  | I64, Value.I x -> Bytes.set_int64_le t.data addr x
-  | F32, Value.F x -> Bytes.set_int32_le t.data addr (Int32.bits_of_float x)
-  | F64, Value.F x -> Bytes.set_int64_le t.data addr (Int64.bits_of_float x)
+  | (I1 | I8 | I16 | I32 | I64), Value.I x -> set_int t.data s addr x
+  | (F32 | F64), Value.F x -> set_float t.data s addr x
   | _ -> Fmt.invalid_arg "Memory.store_scalar: %a as %a" Value.pp v Pir.Types.pp (Pir.Types.Scalar s)
 
-(* -- Unboxed scalar accessors --
-
-   Same semantics (bounds checks, canonical zero-extension, rounding)
-   as [load_scalar]/[store_scalar] but without boxing each element in a
-   [Value.t]; the vector accesses below fill lane arrays with these. *)
-
-let load_int t (s : Pir.Types.scalar) addr : int64 =
-  check t addr (Pir.Types.scalar_bytes s) "load";
-  match s with
-  | I1 -> if Bytes.get_uint8 t.data addr <> 0 then 1L else 0L
-  | I8 -> Int64.of_int (Bytes.get_uint8 t.data addr)
-  | I16 -> Int64.of_int (Bytes.get_uint16_le t.data addr)
-  | I32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.data addr)) 0xFFFFFFFFL
-  | I64 -> Bytes.get_int64_le t.data addr
-  | F32 | F64 -> Fmt.invalid_arg "Memory.load_int: %a" Pir.Types.pp (Pir.Types.Scalar s)
-
-let load_float t (s : Pir.Types.scalar) addr : float =
-  check t addr (Pir.Types.scalar_bytes s) "load";
-  match s with
-  | F32 -> Int32.float_of_bits (Bytes.get_int32_le t.data addr)
-  | F64 -> Int64.float_of_bits (Bytes.get_int64_le t.data addr)
-  | _ -> Fmt.invalid_arg "Memory.load_float: %a" Pir.Types.pp (Pir.Types.Scalar s)
-
-let store_int t (s : Pir.Types.scalar) addr (x : int64) =
-  check t addr (Pir.Types.scalar_bytes s) "store";
-  match s with
-  | I1 -> Bytes.set_uint8 t.data addr (if x = 0L then 0 else 1)
-  | I8 -> Bytes.set_uint8 t.data addr (Int64.to_int (Int64.logand x 0xFFL))
-  | I16 -> Bytes.set_uint16_le t.data addr (Int64.to_int (Int64.logand x 0xFFFFL))
-  | I32 -> Bytes.set_int32_le t.data addr (Int64.to_int32 x)
-  | I64 -> Bytes.set_int64_le t.data addr x
-  | F32 | F64 -> Fmt.invalid_arg "Memory.store_int: %a" Pir.Types.pp (Pir.Types.Scalar s)
-
-let store_float t (s : Pir.Types.scalar) addr (x : float) =
-  check t addr (Pir.Types.scalar_bytes s) "store";
-  match s with
-  | F32 -> Bytes.set_int32_le t.data addr (Int32.bits_of_float x)
-  | F64 -> Bytes.set_int64_le t.data addr (Int64.bits_of_float x)
-  | _ -> Fmt.invalid_arg "Memory.store_float: %a" Pir.Types.pp (Pir.Types.Scalar s)
-
-(* -- Native-int scalar accessors (widths <= 32) --
-
-   The VM's unboxed register banks hold native [int]s; these accessors
-   skip the [int64] round-trip entirely (no boxed intermediates on the
-   non-flambda native compiler: 32-bit values move as two 16-bit
-   immediate reads/writes).  Loads return the canonical zero-extended
-   value, stores mask to the store width — bit-identical to
-   [load_int]/[store_int] over the same bytes. *)
+(* The VM's register banks hold integers of at most 32 bits as native
+   [int]s ([load_nat]/[store_nat]), [i64] scalars as [int64]s and floats
+   unboxed; these move them without a [Value.t]. *)
 
 let[@inline] load_nat t (s : Pir.Types.scalar) addr : int =
   check t addr (Pir.Types.scalar_bytes s) "load";
   match s with
-  | I1 -> if Bytes.get_uint8 t.data addr <> 0 then 1 else 0
-  | I8 -> Bytes.get_uint8 t.data addr
-  | I16 -> Bytes.get_uint16_le t.data addr
-  | I32 ->
-      Bytes.get_uint16_le t.data addr
-      lor (Bytes.get_uint16_le t.data (addr + 2) lsl 16)
-  | I64 | F32 | F64 ->
-      Fmt.invalid_arg "Memory.load_nat: %a" Pir.Types.pp (Pir.Types.Scalar s)
+  | I1 | I8 | I16 | I32 -> Int64.to_int (get_int t.data s addr)
+  | I64 | F32 | F64 -> Fmt.invalid_arg "Memory.load_nat: %a" Pir.Types.pp (Pir.Types.Scalar s)
 
 let[@inline] store_nat t (s : Pir.Types.scalar) addr (x : int) =
   check t addr (Pir.Types.scalar_bytes s) "store";
   match s with
-  | I1 -> Bytes.set_uint8 t.data addr (if x = 0 then 0 else 1)
-  | I8 -> Bytes.set_uint8 t.data addr (x land 0xFF)
-  | I16 -> Bytes.set_uint16_le t.data addr (x land 0xFFFF)
-  | I32 ->
-      Bytes.set_uint16_le t.data addr (x land 0xFFFF);
-      Bytes.set_uint16_le t.data (addr + 2) ((x lsr 16) land 0xFFFF)
-  | I64 | F32 | F64 ->
-      Fmt.invalid_arg "Memory.store_nat: %a" Pir.Types.pp (Pir.Types.Scalar s)
+  | I1 | I8 | I16 | I32 -> set_int t.data s addr (Int64.of_int x)
+  | I64 | F32 | F64 -> Fmt.invalid_arg "Memory.store_nat: %a" Pir.Types.pp (Pir.Types.Scalar s)
+
+let load_i64 t addr : int64 =
+  check t addr 8 "load";
+  get_int t.data I64 addr
+
+let store_i64 t addr (x : int64) =
+  check t addr 8 "store";
+  set_int t.data I64 addr x
 
 let[@inline] load_f32 t addr : float =
   check t addr 4 "load";
-  Int32.float_of_bits (Bytes.get_int32_le t.data addr)
+  get_float t.data F32 addr
 
 let[@inline] load_f64 t addr : float =
   check t addr 8 "load";
-  Int64.float_of_bits (Bytes.get_int64_le t.data addr)
+  get_float t.data F64 addr
 
 let[@inline] store_f32 t addr (x : float) =
   check t addr 4 "store";
-  Bytes.set_int32_le t.data addr (Int32.bits_of_float x)
+  set_float t.data F32 addr x
 
 let[@inline] store_f64 t addr (x : float) =
   check t addr 8 "store";
-  Bytes.set_int64_le t.data addr (Int64.bits_of_float x)
+  set_float t.data F64 addr x
 
 (* -- Vector accesses --
 
@@ -186,10 +178,12 @@ let[@inline] store_f64 t addr (x : float) =
    memory nor faults, and a load writes zero into it.  A load fills the
    lanes of a destination vector the caller supplies (a fresh one, or a
    register the VM overwrites in place).  Integer lanes are {!Value}'s
-   unboxed slots.  A packed access whose whole range is already
-   materialised checks its bounds once and runs one loop for its scalar
-   kind; any other access checks, and materialises, lane by lane, so
-   faults, their text and their order are the lane-by-lane rule's. *)
+   unboxed slots, float lanes a [float array]; a lane moves through the
+   kind's layout above without boxing.  A packed access whose whole
+   range is already materialised cannot fault, so it checks its bounds
+   once, for the range, and runs one loop for its scalar kind; any
+   other access checks, and materialises, lane by lane, so faults, their
+   text and their order are the lane-by-lane rule's. *)
 
 (* both empty, which no real mask or index vector is *)
 let no_mask = Bytes.empty
@@ -216,180 +210,112 @@ let check_shape n idxs mask =
     || (mask != no_mask && Bytes.length mask < 8 * n)
   then invalid_arg "Memory: fewer index or mask lanes than accessed lanes"
 
-(* [load_int] and [store_int] on lane slot [o] of [r]: the [int64] never
-   leaves the function *)
-let load_lane t (s : Pir.Types.scalar) addr (r : Bytes.t) o =
-  check t addr (Pir.Types.scalar_bytes s) "load";
-  Value.set64u r o
-    (match s with
-    | I1 -> if Bytes.get_uint8 t.data addr <> 0 then 1L else 0L
-    | I8 -> Int64.of_int (Bytes.get_uint8 t.data addr)
-    | I16 -> Int64.of_int (Bytes.get_uint16_le t.data addr)
-    | I32 ->
-        Int64.of_int
-          (Bytes.get_uint16_le t.data addr
-          lor (Bytes.get_uint16_le t.data (addr + 2) lsl 16))
-    | I64 -> Bytes.get_int64_le t.data addr
-    | F32 | F64 -> Fmt.invalid_arg "Memory.load_lane: %a" Pir.Types.pp (Pir.Types.Scalar s))
-
-let store_lane t (s : Pir.Types.scalar) addr (x : Bytes.t) o =
-  check t addr (Pir.Types.scalar_bytes s) "store";
-  let v = Value.get64u x o in
-  match s with
-  | I1 -> Bytes.set_uint8 t.data addr (if v = 0L then 0 else 1)
-  | I8 -> Bytes.set_uint8 t.data addr (Int64.to_int v land 0xFF)
-  | I16 -> Bytes.set_uint16_le t.data addr (Int64.to_int v land 0xFFFF)
-  | I32 ->
-      let v = Int64.to_int v in
-      Bytes.set_uint16_le t.data addr (v land 0xFFFF);
-      Bytes.set_uint16_le t.data (addr + 2) ((v lsr 16) land 0xFFFF)
-  | I64 -> Bytes.set_int64_le t.data addr v
-  | F32 | F64 -> Fmt.invalid_arg "Memory.store_lane: %a" Pir.Types.pp (Pir.Types.Scalar s)
-
 (* a packed access of [n] lanes of [esz] bytes at [base] that lies
    wholly in the materialised bytes: no lane can fault or materialise *)
 let[@inline] resident_range t base esz n = base >= 64 && base + (n * esz) <= Bytes.length t.data
 
-(* The packed load of [n] lanes at [base], all resident: one loop for
-   the scalar kind.  An inactive lane's bytes are read and dropped. *)
-let load_resident t (s : Pir.Types.scalar) ~base ~mask (dst : Value.t) n =
-  let data = t.data in
-  match (s, dst) with
-  | I1, Value.VI r ->
-      for l = 0 to n - 1 do
-        Value.set64u r (8 * l)
-          (if active mask l && Bytes.get_uint8 data (base + l) <> 0 then 1L else 0L)
-      done
-  | I8, Value.VI r ->
-      for l = 0 to n - 1 do
-        Value.set64u r (8 * l)
-          (if active mask l then Int64.of_int (Bytes.get_uint8 data (base + l)) else 0L)
-      done
-  | I16, Value.VI r ->
-      for l = 0 to n - 1 do
-        Value.set64u r (8 * l)
-          (if active mask l then Int64.of_int (Bytes.get_uint16_le data (base + (2 * l)))
-           else 0L)
-      done
-  | I32, Value.VI r ->
-      for l = 0 to n - 1 do
-        let a = base + (4 * l) in
-        Value.set64u r (8 * l)
-          (if active mask l then
-             Int64.of_int
-               (Bytes.get_uint16_le data a lor (Bytes.get_uint16_le data (a + 2) lsl 16))
-           else 0L)
-      done
-  | I64, Value.VI r ->
-      for l = 0 to n - 1 do
-        Value.set64u r (8 * l)
-          (if active mask l then Bytes.get_int64_le data (base + (8 * l)) else 0L)
-      done
-  | F32, Value.VF r ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set r l
-          (if active mask l then Int32.float_of_bits (Bytes.get_int32_le data (base + (4 * l)))
-           else 0.0)
-      done
-  | F64, Value.VF r ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set r l
-          (if active mask l then Int64.float_of_bits (Bytes.get_int64_le data (base + (8 * l)))
-           else 0.0)
-      done
-  | _, v -> Fmt.invalid_arg "Memory.load_packed: %a as %a" Value.pp v Pir.Types.pp (Pir.Types.Scalar s)
+(* The packed accesses of a resident range, unchecked.  [gather] and
+   [scatter] inline them with a constant kind, so the kind's layout
+   folds into a loop of its own. *)
 
-let gather t s ~base ~esz ~iw ~idxs ~mask (dst : Value.t) =
+let[@inline] load_range data (s : Pir.Types.scalar) base mask (dst : Value.t) n =
+  let esz = Pir.Types.scalar_bytes s in
+  match dst with
+  | Value.VI r ->
+      for l = 0 to n - 1 do
+        Value.set64u r (8 * l) (if active mask l then get_int data s (base + (l * esz)) else 0L)
+      done
+  | Value.VF r ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set r l (if active mask l then get_float data s (base + (l * esz)) else 0.0)
+      done
+  | v -> Fmt.invalid_arg "Memory.load_packed: %a" Value.pp v
+
+let[@inline] store_range data (s : Pir.Types.scalar) base mask (v : Value.t) n =
+  let esz = Pir.Types.scalar_bytes s in
+  match v with
+  | Value.VI x ->
+      for l = 0 to n - 1 do
+        if active mask l then set_int data s (base + (l * esz)) (Value.get64u x (8 * l))
+      done
+  | Value.VF x ->
+      for l = 0 to n - 1 do
+        if active mask l then set_float data s (base + (l * esz)) (Array.unsafe_get x l)
+      done
+  | v -> Fmt.invalid_arg "Memory.store_packed: %a" Value.pp v
+
+let gather t (s : Pir.Types.scalar) ~base ~esz ~iw ~idxs ~mask (dst : Value.t) =
   let n = Value.lanes dst in
   check_shape n idxs mask;
   if idxs == packed && resident_range t base esz n then
-    load_resident t s ~base ~mask dst n
+    let data = t.data in
+    match s with
+    | I1 -> load_range data I1 base mask dst n
+    | I8 -> load_range data I8 base mask dst n
+    | I16 -> load_range data I16 base mask dst n
+    | I32 -> load_range data I32 base mask dst n
+    | I64 -> load_range data I64 base mask dst n
+    | F32 -> load_range data F32 base mask dst n
+    | F64 -> load_range data F64 base mask dst n
   else
+    let sz = Pir.Types.scalar_bytes s in
     match dst with
     | Value.VI r ->
         for l = 0 to n - 1 do
-          if active mask l then load_lane t s (lane_addr base esz iw idxs l) r (8 * l)
-          else Value.set64u r (8 * l) 0L
+          Value.set64u r (8 * l)
+            (if active mask l then begin
+               let a = lane_addr base esz iw idxs l in
+               check t a sz "load";
+               get_int t.data s a
+             end
+             else 0L)
         done
     | Value.VF r ->
         for l = 0 to n - 1 do
           Array.unsafe_set r l
-            (if active mask l then load_float t s (lane_addr base esz iw idxs l) else 0.0)
+            (if active mask l then begin
+               let a = lane_addr base esz iw idxs l in
+               check t a sz "load";
+               get_float t.data s a
+             end
+             else 0.0)
         done
     | v -> Fmt.invalid_arg "Memory.gather: %a" Value.pp v
 
-(* The packed store of [n] lanes at [base], all resident: one loop for
-   the scalar kind. *)
-let store_resident t (s : Pir.Types.scalar) ~base ~mask (v : Value.t) n =
-  let data = t.data in
-  match (s, v) with
-  | I1, Value.VI x ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          Bytes.set_uint8 data (base + l) (if Value.get64u x (8 * l) = 0L then 0 else 1)
-      done
-  | I8, Value.VI x ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          Bytes.set_uint8 data (base + l) (Int64.to_int (Value.get64u x (8 * l)) land 0xFF)
-      done
-  | I16, Value.VI x ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          Bytes.set_uint16_le data (base + (2 * l))
-            (Int64.to_int (Value.get64u x (8 * l)) land 0xFFFF)
-      done
-  | I32, Value.VI x ->
-      for l = 0 to n - 1 do
-        if active mask l then begin
-          let a = base + (4 * l) and v = Int64.to_int (Value.get64u x (8 * l)) in
-          Bytes.set_uint16_le data a (v land 0xFFFF);
-          Bytes.set_uint16_le data (a + 2) ((v lsr 16) land 0xFFFF)
-        end
-      done
-  | I64, Value.VI x ->
-      for l = 0 to n - 1 do
-        if active mask l then Bytes.set_int64_le data (base + (8 * l)) (Value.get64u x (8 * l))
-      done
-  | F32, Value.VF x ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          Bytes.set_int32_le data (base + (4 * l)) (Int32.bits_of_float (Array.unsafe_get x l))
-      done
-  | F64, Value.VF x ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          Bytes.set_int64_le data (base + (8 * l)) (Int64.bits_of_float (Array.unsafe_get x l))
-      done
-  | _, v -> Fmt.invalid_arg "Memory.store_packed: %a as %a" Value.pp v Pir.Types.pp (Pir.Types.Scalar s)
-
-(* A value of the wrong class for [s] goes through [store_scalar], which
-   rejects it at the first active lane. *)
-let scatter t s ~base ~esz ~iw ~idxs ~mask (v : Value.t) =
+let scatter t (s : Pir.Types.scalar) ~base ~esz ~iw ~idxs ~mask (v : Value.t) =
   let n = if idxs == packed then Value.lanes v else Value.ilanes idxs in
   check_shape n idxs mask;
-  let fast = idxs == packed && resident_range t base esz n in
-  match v with
-  | Value.VI x when not (Pir.Types.is_float_scalar s) ->
-      if Value.ilanes x < n then invalid_arg "Memory.scatter: fewer value lanes than indices";
-      if fast then store_resident t s ~base ~mask v n
-      else
+  if Value.lanes v < n then invalid_arg "Memory.scatter: fewer value lanes than indices";
+  if idxs == packed && resident_range t base esz n then
+    let data = t.data in
+    match s with
+    | I1 -> store_range data I1 base mask v n
+    | I8 -> store_range data I8 base mask v n
+    | I16 -> store_range data I16 base mask v n
+    | I32 -> store_range data I32 base mask v n
+    | I64 -> store_range data I64 base mask v n
+    | F32 -> store_range data F32 base mask v n
+    | F64 -> store_range data F64 base mask v n
+  else
+    let sz = Pir.Types.scalar_bytes s in
+    match v with
+    | Value.VI x ->
         for l = 0 to n - 1 do
-          if active mask l then store_lane t s (lane_addr base esz iw idxs l) x (8 * l)
+          if active mask l then begin
+            let a = lane_addr base esz iw idxs l in
+            check t a sz "store";
+            set_int t.data s a (Value.get64u x (8 * l))
+          end
         done
-  | Value.VF x when Pir.Types.is_float_scalar s ->
-      if Array.length x < n then invalid_arg "Memory.scatter: fewer value lanes than indices";
-      if fast then store_resident t s ~base ~mask v n
-      else
+    | Value.VF x ->
         for l = 0 to n - 1 do
-          if active mask l then
-            store_float t s (lane_addr base esz iw idxs l) (Array.unsafe_get x l)
+          if active mask l then begin
+            let a = lane_addr base esz iw idxs l in
+            check t a sz "store";
+            set_float t.data s a (Array.unsafe_get x l)
+          end
         done
-  | v ->
-      for l = 0 to n - 1 do
-        if active mask l then
-          store_scalar t s (lane_addr base esz iw idxs l) (Value.lane v l)
-      done
+    | v -> Fmt.invalid_arg "Memory.scatter: %a" Value.pp v
 
 let load_packed t s ~base ~esz ~mask dst =
   gather t s ~base ~esz ~iw:0 ~idxs:packed ~mask dst

@@ -26,8 +26,12 @@ type t =
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* [F32] rounding without leaving float registers: what [round_float
-   F32] computes, for the lane loops that must not box a float *)
+(* [F32] rounding without leaving float registers: [f32_of_bits
+   (f32_bits x)] is what [round_float F32] computes, for the loops that
+   must not box a float.  [Vm] and [Eval] each define that one-liner as
+   their own [round32]: a function of this module would be called, not
+   inlined, from theirs ([-opaque]), and would box its argument and its
+   result, four words a call. *)
 external f32_bits : float -> int32
   = "caml_int32_bits_of_float" "caml_int32_bits_of_float_unboxed"
 [@@unboxed] [@@noalloc]

@@ -46,7 +46,8 @@ let stats t = t.st.State.stats
 
 let mem t = t.st.State.mem
 
-(* [Value.round_float F32] without leaving float registers *)
+(* [Value.round_float F32] without leaving float registers; see
+   [Value.f32_bits] for why it is written here *)
 let[@inline] round32 x = Value.f32_of_bits (Value.f32_bits x)
 
 (* destination arrays for the float lane loops.  A non-negative dst
@@ -141,7 +142,7 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       Array.unsafe_set fregs d (if r32 then round32 r else r);
       exec t c fr (pc + 1)
   | Bc.FCmp (p, d, a, b) ->
-      (* raw comparisons, no rounding: [Eval.fcmp_fn] parity *)
+      (* raw comparisons, no rounding, as [Eval.fcmp_scalar] *)
       let fregs = fr.fregs in
       let x = Array.unsafe_get fregs a and y = Array.unsafe_get fregs b in
       let r =
@@ -330,13 +331,13 @@ let rec exec t (c : Bc.code) (fr : Bc.frame) (pc : int) : Value.t =
       let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
       Array.unsafe_set fr.lregs d
-        (Memory.load_int t.st.State.mem Pir.Types.I64
+        (Memory.load_i64 t.st.State.mem
            (Array.unsafe_get fr.iregs addr));
       exec t c fr (pc + 1)
   | Bc.St64 (src, addr) ->
       let st = t.st.State.stats in
       st.scalar_mem <- st.scalar_mem + 1;
-      Memory.store_int t.st.State.mem Pir.Types.I64
+      Memory.store_i64 t.st.State.mem
         (Array.unsafe_get fr.iregs addr)
         (Array.unsafe_get fr.lregs src);
       exec t c fr (pc + 1)

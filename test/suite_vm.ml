@@ -719,7 +719,8 @@ let check_access acc () =
    applied lane by lane: [Pir.Fold] for the integer operations, the
    scalar cast, and the documented fold orders, blends and lane
    routings.  Lanes are drawn to hit each width's edges; at width 64
-   also values at and above 2^62 and negative [int64]s. *)
+   also values at and above 2^62 and negative [int64]s; float lanes at
+   signed zeros, NaN, infinities and the edges of the integer ranges. *)
 
 let widths = [ 1; 8; 16; 32; 64 ]
 
@@ -764,8 +765,8 @@ let agree name expected (pure, vm) =
       expected Pmachine.Value.pp pure Pmachine.Value.pp vm;
   ok
 
-let kernel_test name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:400 (QCheck.make gen) prop)
+let kernel_test ?(count = 400) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count (QCheck.make gen) prop)
 
 let binary_gen ops =
   let open QCheck.Gen in
@@ -812,38 +813,82 @@ let test_kernel_icmp =
         (both ~ty:(Types.Vec (I1, Array.length x)) [ t; t ] (Instr.Icmp (p, Var 0, Var 1))
            [ ivec x; ivec y ]))
 
-(* integer casts between every pair of widths, and the casts to and from
-   float lanes, against [Eval.cast_scalar] *)
+(* lanes of float kind [s]: signed zeros, NaN, infinities, the edges
+   2^31, 2^63 and 2^64 of the integer ranges of either sign, fractions
+   and arbitrary bit patterns, all rounded to [s] *)
+let flane_gen (s : Types.scalar) =
+  let open QCheck.Gen in
+  let p k = Float.ldexp 1.0 k in
+  let edges =
+    [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 0.5; -0.5; 1.5; -2.75;
+      255.5; p 31; -.p 31; p 32 -. 1.0; p 63; -.p 63; p 64; -.p 64 ]
+  in
+  map (Pmachine.Value.round_float s)
+    (frequency
+       [ (3, oneofl edges); (2, float_range (-70000.0) 70000.0); (2, map Int64.float_of_bits ui64) ])
+
+(* float lanes as their bits, so that a signed zero or a NaN payload
+   counts *)
+let bits = function
+  | Pmachine.Value.VF a -> ivec (Array.map Int64.bits_of_float a)
+  | v -> v
+
+(* every cast kind: integer casts between every pair of widths,
+   integer to float and float to integer at every width, float
+   truncation and extension, and same-width bitcasts of each class
+   pair, against [Eval.cast_scalar] *)
 let test_kernel_cast =
   let open QCheck.Gen in
-  kernel_test "kernels: cast"
+  let int_kind = map scalar_of_width (oneofl widths) in
+  let float_kind = oneofl Types.[ F32; F64 ] in
+  kernel_test ~count:1000 "kernels: cast"
     (let* k, src, dst =
        oneof
          [
            (let* k = oneofl Instr.[ Trunc; ZExt; SExt ] in
-            let* ws = oneofl widths and* wd = oneofl widths in
-            return (k, scalar_of_width ws, scalar_of_width wd));
+            let* s = int_kind and* d = int_kind in
+            return (k, s, d));
            (let* k = oneofl Instr.[ SIToFP; UIToFP ] in
-            let* ws = oneofl widths and* d = oneofl Types.[ F32; F64 ] in
-            return (k, scalar_of_width ws, d));
+            let* s = int_kind and* d = float_kind in
+            return (k, s, d));
+           (let* k = oneofl Instr.[ FPToSI; FPToUI ] in
+            let* s = float_kind and* d = int_kind in
+            return (k, s, d));
+           oneofl Instr.[ (FPTrunc, Types.F64, Types.F32); (FPExt, F32, F64) ];
+           (let* s, d =
+              oneofl
+                Types.
+                  [ (I32, F32); (F32, I32); (I64, F64); (F64, I64); (I16, I16); (I64, I64);
+                    (F32, F32); (F64, F64) ]
+            in
+            return (Instr.Bitcast, s, d));
          ]
      in
      let* n = int_range 1 16 in
-     let* x = lanes_gen (Types.scalar_bits src) n in
+     let* x =
+       if Types.is_float_scalar src then
+         map (fun a -> Pmachine.Value.VF a) (array_size (return n) (flane_gen src))
+       else map ivec (lanes_gen (Types.scalar_bits src) n)
+     in
      return (k, src, dst, x))
     (fun (k, src, dst, x) ->
-      let n = Array.length x in
-      let lanes = Array.map (fun v -> Pmachine.Eval.cast_scalar k src dst (Pmachine.Value.I v)) x in
+      let n = Pmachine.Value.lanes x in
+      let lanes =
+        Array.init n (fun l -> Pmachine.Eval.cast_scalar k src dst (Pmachine.Value.lane x l))
+      in
       let expected =
         if Types.is_float_scalar dst then Pmachine.Value.VF (Array.map Pmachine.Value.as_float lanes)
         else ivec (Array.map Pmachine.Value.as_int lanes)
       in
+      let pure, vm =
+        both ~ty:(Types.Vec (dst, n)) [ Types.Vec (src, n) ]
+          (Instr.Cast (k, Var 0, Types.Vec (dst, n)))
+          [ x ]
+      in
       agree
-        (Fmt.str "%a %a -> %a" Printer.pp_cast k Types.pp_scalar src Types.pp_scalar dst)
-        expected
-        (both ~ty:(Types.Vec (dst, n)) [ Types.Vec (src, n) ]
-           (Instr.Cast (k, Var 0, Types.Vec (dst, n)))
-           [ ivec x ]))
+        (Fmt.str "%a %a -> %a of %a" Printer.pp_cast k Types.pp_scalar src Types.pp_scalar dst
+           Pmachine.Value.pp x)
+        (bits expected) (bits pure, bits vm))
 
 let test_kernel_reduce =
   kernel_test "kernels: reduce"
